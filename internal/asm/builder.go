@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"loopfrog/internal/isa"
 )
@@ -173,6 +174,13 @@ func (b *Builder) Double(vs ...float64) *Builder {
 // Bytes appends raw bytes to the data segment.
 func (b *Builder) Bytes(p []byte) *Builder {
 	b.data = append(b.data, p...)
+	return b
+}
+
+// Reserve grows the data segment's capacity to fit n more bytes, so a caller
+// that knows the segment's size appends it without regrowing.
+func (b *Builder) Reserve(n int) *Builder {
+	b.data = slices.Grow(b.data, n)
 	return b
 }
 

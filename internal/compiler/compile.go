@@ -116,7 +116,16 @@ func compile(name, src string, opts Options) (*asm.Program, Diagnostics, []LoopS
 		}
 	}
 
-	// Data: global arrays, static local arrays, float constant pool.
+	// Data: global arrays, static local arrays, float constant pool, in one
+	// allocation sized for the symbols plus worst-case alignment padding.
+	size := 15 * len(ctx.floatOrder)
+	for _, g := range file.Globals {
+		size += int(chk.symOf[g].length)*8 + 7
+	}
+	for _, la := range ctx.localArrays {
+		size += int(la.length)*8 + 7
+	}
+	b.Reserve(size)
 	for _, g := range file.Globals {
 		sym := chk.symOf[g]
 		name := sym.dataSym

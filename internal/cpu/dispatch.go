@@ -21,8 +21,8 @@ func (m *Machine) dispatch() {
 		if !t.live || m.orderIdx(tid) < 0 {
 			continue // squashed by an older threadlet's hint this cycle
 		}
-		for budget > 0 && len(t.fq) > 0 && t.live {
-			fe := t.fq[0]
+		for budget > 0 && t.fq.len() > 0 && t.live {
+			fe := t.fq.front() // valid until the next push, which only fetch does
 			if fe.readyAt > m.now {
 				break // still in the front-end pipe
 			}
@@ -38,8 +38,8 @@ func (m *Machine) dispatch() {
 			}
 			// A reattach epoch-end clears the fetch queue from inside
 			// dispatchOne; only pop when entries remain.
-			if len(t.fq) > 0 {
-				t.fq = t.fq[1:]
+			if t.fq.len() > 0 {
+				t.fq.pop()
 			}
 			budget--
 		}
@@ -49,7 +49,7 @@ func (m *Machine) dispatch() {
 // dispatchOne renames one instruction. It returns ok=false when the
 // instruction cannot dispatch this cycle; shared=true marks a shared
 // structural resource as the cause.
-func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
+func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 	meta := fe.meta
 	if m.robUsed >= m.cfg.ROBSize {
 		return false, true
@@ -86,7 +86,8 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 		}
 	}
 
-	e := &dynInst{
+	e := m.newInst()
+	*e = dynInst{
 		tid:        t.id,
 		seq:        t.seqCounter,
 		pc:         fe.pc,
@@ -101,6 +102,10 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 		rasPushed:  fe.rasPushed,
 		spawnedTid: -1,
 		memSize:    meta.MemBytes,
+		// A recycled instruction keeps its generation and backing arrays.
+		gen:         e.gen,
+		waiters:     e.waiters[:0],
+		ckptWaiters: e.ckptWaiters[:0],
 	}
 	t.seqCounter++
 	if m.spectreLive && (meta.IsBranch || fe.inst.Op == isa.JALR) {
@@ -114,7 +119,8 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 			return
 		}
 		me := t.renameMap[r]
-		if me.prod == nil {
+		prod := me.producer()
+		if prod == nil {
 			e.srcReady[slot] = true
 			e.srcVal[slot] = me.val
 			e.srcTaint[slot] = me.taint
@@ -123,14 +129,14 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 			}
 			return
 		}
-		if me.prod.state >= stDone && !me.prod.wakeHeld {
+		if prod.state >= stDone && !prod.wakeHeld {
 			e.srcReady[slot] = true
-			e.srcVal[slot] = me.prod.result
-			e.srcTaint[slot] = me.prod.taint
+			e.srcVal[slot] = prod.result
+			e.srcTaint[slot] = prod.taint
 			return
 		}
-		e.srcProd[slot] = me.prod
-		me.prod.waiters = append(me.prod.waiters, e)
+		e.srcProd[slot] = prod
+		prod.waiters = append(prod.waiters, e.ref())
 	}
 	e.srcReady[0], e.srcReady[1] = true, true
 	if meta.HasRs1 {
@@ -143,8 +149,10 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 	}
 
 	if hasDest {
+		// The slot's name moves to oldMap; the slot now names e.
 		e.oldMap = t.renameMap[e.destReg]
-		t.renameMap[e.destReg] = mapEntry{prod: e}
+		t.renameMap[e.destReg] = e.name()
+		e.refs++
 		if e.destReg.IsFP() {
 			m.fpRegsUsed++
 		} else {
@@ -154,7 +162,7 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 
 	m.robUsed++
 	t.robHeld++
-	t.rob = append(t.rob, e)
+	t.rob.push(e)
 	if needsIQ {
 		m.iqUsed++
 		t.iqHeld++
@@ -242,7 +250,7 @@ func (m *Machine) handleHint(t *threadlet, e *dynInst) {
 			t.epochEndSeq = e.seq
 			t.epochEndPC = e.pc
 			t.fetchHalted = true
-			t.fq = t.fq[:0]
+			t.fq.truncate(0)
 			return
 		}
 		m.stats.HintNops++
@@ -276,7 +284,7 @@ const maxDetachWait = 8
 // queue should wait a little for its IV values (§4.3's value predictor needs
 // concrete inputs). Without the wait, tight loops dispatch the detach in the
 // same cycle as the IV update and packing could never engage.
-func (m *Machine) delayDetachForPacking(t *threadlet, fe fetchEntry) bool {
+func (m *Machine) delayDetachForPacking(t *threadlet, fe *fetchEntry) bool {
 	if fe.inst.Op != isa.DETACH || !m.cfg.Pack.Enabled || m.cfg.Threadlets <= 1 {
 		return false
 	}
@@ -371,8 +379,7 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 	t.detached = true
 	t.skipReattach = factor - 1
 	t.pendingVerify = factor > 1
-	t.epochFactor = ipmax(t.epochFactor, 1) // parent now covers `factor` iterations
-	t.epochFactor = factor
+	t.epochFactor = factor // the parent now covers `factor` iterations
 	if factor > 1 {
 		t.predictedStart = predicted
 		m.stats.PackedSpawns++
@@ -389,23 +396,16 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 	m.emitEvent(EvSpawn, nt.id, region, factor)
 }
 
-func ipmax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // regSnapshot returns the threadlet's current speculative register values
 // where resolved, with a mask of which registers are concrete.
 func (t *threadlet) regSnapshot() (vals [isa.NumRegs]uint64, resolved [isa.NumRegs]bool) {
 	for r := 0; r < isa.NumRegs; r++ {
 		me := t.renameMap[r]
-		switch {
-		case me.prod == nil:
+		switch prod := me.producer(); {
+		case prod == nil:
 			vals[r], resolved[r] = me.val, true
-		case me.prod.state >= stDone && !me.prod.wakeHeld:
-			vals[r], resolved[r] = me.prod.result, true
+		case prod.state >= stDone && !prod.wakeHeld:
+			vals[r], resolved[r] = prod.result, true
 		}
 	}
 	return vals, resolved
@@ -415,10 +415,20 @@ func (t *threadlet) regSnapshot() (vals [isa.NumRegs]uint64, resolved [isa.NumRe
 // parent, starting at the region's continuation address. The successor
 // inherits the parent's register state at the detach — resolved values
 // directly, unresolved ones as dataflow futures — exactly the rename-map
-// copy of §4.
+// copy of §4. The context's queue rings (and, under spectre tracking, its
+// scratch slices) are kept across the reset; its rename map was released
+// when the context died.
 func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predicted *[isa.NumRegs]uint64) {
 	m.gens[nt.id]++
+	nt.fq.truncate(0)
+	nt.rob.truncate(0)
+	nt.drain.truncate(0)
 	*nt = threadlet{
+		fq:           nt.fq,
+		rob:          nt.rob,
+		drain:        nt.drain,
+		ctlInFlight:  nt.ctlInFlight[:0],
+		pendingLeaks: nt.pendingLeaks[:0],
 		id:           nt.id,
 		live:         true,
 		fetchPC:      contPC,
@@ -451,10 +461,10 @@ func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predi
 			continue
 		}
 		me := parent.renameMap[r]
-		if me.prod != nil && me.prod.state >= stDone && !me.prod.wakeHeld {
-			me = mapEntry{val: me.prod.result, taint: me.prod.taint}
+		if p := me.producer(); p != nil && p.state >= stDone && !p.wakeHeld {
+			me = mapEntry{val: p.result, taint: p.taint}
 		}
-		nt.renameMap[r] = me
+		m.setMap(&nt.renameMap[r], me)
 		if me.prod == nil {
 			nt.ckptRegs[r] = me.val
 			nt.ckptTaint[r] = me.taint
@@ -468,7 +478,7 @@ func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predi
 				parent.consumedStart[r] = true
 			}
 		} else {
-			nt.ckptPending[r] = me.prod
+			nt.ckptPending[r] = me.prod.ref()
 			me.prod.ckptWaiters = append(me.prod.ckptWaiters, ckptWaiter{tid: nt.id, reg: isa.Reg(r), gen: m.gens[nt.id]})
 		}
 	}

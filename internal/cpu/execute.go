@@ -1,7 +1,8 @@
 package cpu
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"loopfrog/internal/isa"
 	"loopfrog/internal/mem"
@@ -71,61 +72,43 @@ func (m *Machine) issue() {
 				live = append(live, e)
 			}
 		}
-		sort.SliceStable(live, func(i, j int) bool {
-			oi, oj := m.orderIdx(live[i].tid), m.orderIdx(live[j].tid)
-			if oi != oj {
-				return oi < oj
-			}
-			return live[i].seq < live[j].seq
-		})
+		slices.SortStableFunc(live, m.olderFirst)
 		units := m.unitsFor(c)
 		if c == isa.ClassLoad {
 			units = loadBudget
 		}
-		n := 0
-		for _, e := range live {
-			if n >= units {
-				break
-			}
-			if m.execOne(e) {
-				n++
-			}
+		n := min(units, len(live))
+		for _, e := range live[:n] {
+			m.execOne(e)
 		}
-		m.readyQ[c] = append(m.readyQ[c][:0], live[min(n, len(live)):]...)
+		m.readyQ[c] = append(m.readyQ[c][:0], live[n:]...)
 	}
 }
 
-// execOne starts execution of one instruction; it returns false if the
-// instruction could not issue (and was re-queued).
-func (m *Machine) execOne(e *dynInst) bool {
+// execOne starts execution of one instruction; it always takes its pipe
+// slot, even when a load is deferred to the replay queue.
+func (m *Machine) execOne(e *dynInst) {
 	e.state = stExecuting
 	m.iqUsed--
 	m.threads[e.tid].iqHeld--
 	switch {
 	case e.meta.IsLoad:
-		if !m.execLoad(e) {
-			return true // issued to the replay queue; the pipe slot is spent
-		}
-		return true
+		m.execLoad(e)
 	case e.meta.IsStore:
 		m.execStore(e)
-		return true
 	case e.meta.IsBranch:
 		e.result = 0
 		e.readyAt = m.now + 1
 		m.executing = append(m.executing, e)
-		return true
 	case e.inst.Op == isa.JAL || e.inst.Op == isa.JALR:
 		e.result = uint64(e.pc + 1)
 		e.readyAt = m.now + 1
 		m.executing = append(m.executing, e)
-		return true
 	default:
 		e.result = isa.EvalALU(e.inst, e.srcVal[0], e.srcVal[1])
 		e.taint = e.srcTaint[0] || e.srcTaint[1]
 		e.readyAt = m.now + int64(e.meta.Latency)
 		m.executing = append(m.executing, e)
-		return true
 	}
 }
 
@@ -226,8 +209,8 @@ func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, part
 		covers := s.addr <= load.addr && s.addr+uint64(s.memSize) >= load.addr+uint64(load.memSize)
 		return true, !covers
 	}
-	for i := len(t.rob) - 1; i >= 0; i-- {
-		s := t.rob[i]
+	for i := t.rob.len() - 1; i >= 0; i-- {
+		s := t.rob.at(i)
 		if s.seq >= load.seq || !s.meta.IsStore {
 			continue
 		}
@@ -235,9 +218,10 @@ func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, part
 			return s, part
 		}
 	}
-	for i := len(t.drain) - 1; i >= 0; i-- {
-		if hit, part := check(t.drain[i]); hit {
-			return t.drain[i], part
+	for i := t.drain.len() - 1; i >= 0; i-- {
+		s := t.drain.at(i)
+		if hit, part := check(s); hit {
+			return s, part
 		}
 	}
 	return nil, false
@@ -255,7 +239,8 @@ func (m *Machine) execStore(e *dynInst) {
 	m.stats.Stores++
 
 	var violator *dynInst
-	for _, l := range t.rob {
+	for i := 0; i < t.rob.len(); i++ {
+		l := t.rob.at(i)
 		if l.seq <= e.seq || !l.meta.IsLoad || !l.addrValid {
 			continue
 		}
@@ -285,7 +270,7 @@ func (m *Machine) writeback() {
 		return
 	}
 	remaining := m.executing[:0]
-	var finished []*dynInst
+	finished := m.finished[:0]
 	for _, e := range m.executing {
 		switch {
 		case e.squashed:
@@ -296,14 +281,9 @@ func (m *Machine) writeback() {
 		}
 	}
 	m.executing = remaining
+	m.finished = finished
 	// Oldest-first resolution keeps branch recovery deterministic.
-	sort.SliceStable(finished, func(i, j int) bool {
-		oi, oj := m.orderIdx(finished[i].tid), m.orderIdx(finished[j].tid)
-		if oi != oj {
-			return oi < oj
-		}
-		return finished[i].seq < finished[j].seq
-	})
+	slices.SortStableFunc(finished, m.olderFirst)
 	for _, e := range finished {
 		if e.squashed {
 			continue
@@ -344,9 +324,10 @@ func (m *Machine) complete(e *dynInst) {
 
 // wake delivers a completed result to dependents and checkpoint slots.
 func (m *Machine) wake(e *dynInst) {
-	for _, w := range e.waiters {
-		if w.squashed {
-			continue
+	for _, r := range e.waiters {
+		w := r.e
+		if r.stale() || w.squashed {
+			continue // a squashed consumer, perhaps recycled since
 		}
 		for s := 0; s < 2; s++ {
 			if w.srcProd[s] == e {
@@ -360,20 +341,20 @@ func (m *Machine) wake(e *dynInst) {
 			m.enqueueReady(w)
 		}
 	}
-	e.waiters = nil
+	e.waiters = e.waiters[:0]
 	for _, cw := range e.ckptWaiters {
 		ct := m.threads[cw.tid]
-		if m.gens[cw.tid] != cw.gen || ct.ckptPending[cw.reg] != e {
+		if m.gens[cw.tid] != cw.gen || ct.ckptPending[cw.reg] != e.ref() {
 			continue
 		}
-		ct.ckptPending[cw.reg] = nil
+		ct.ckptPending[cw.reg] = instRef{}
 		ct.ckptRegs[cw.reg] = e.result
 		ct.ckptTaint[cw.reg] = e.taint
 		if !ct.writtenMask[cw.reg] {
 			ct.committedRegs[cw.reg] = e.result
 		}
 	}
-	e.ckptWaiters = nil
+	e.ckptWaiters = e.ckptWaiters[:0]
 }
 
 // resolveBranch compares the execute-time outcome with the fetch-time
@@ -403,7 +384,7 @@ func (m *Machine) resolveIndirect(t *threadlet, e *dynInst) {
 	e.actualTarget = target
 	if e.predTarget == -1 {
 		// The front end stalled on this jump: release it.
-		if len(t.fq) == 0 && t.fetchPC == -1 {
+		if t.fq.len() == 0 && t.fetchPC == -1 {
 			t.fetchPC = target
 			t.fetchReadyAt = m.now + 1
 		} else {
@@ -417,9 +398,11 @@ func (m *Machine) resolveIndirect(t *threadlet, e *dynInst) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// olderFirst orders instructions oldest epoch first, then by age within the
+// threadlet: the issue and writeback priority (§4).
+func (m *Machine) olderFirst(a, b *dynInst) int {
+	if oa, ob := m.orderIdx(a.tid), m.orderIdx(b.tid); oa != ob {
+		return oa - ob
 	}
-	return b
+	return cmp.Compare(a.seq, b.seq)
 }

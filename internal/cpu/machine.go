@@ -116,6 +116,11 @@ type Machine struct {
 	// allocation-free. Each belongs to exactly one pipeline stage.
 	commitSnap, drainSnap, dispatchSnap []int
 	granScratch                         []uint64
+	finished                            []*dynInst
+
+	// dynInst free list and the squashed instructions waiting out their
+	// cycle before they leave (recycle.go).
+	freeInsts, limbo, limboPrev []*dynInst
 }
 
 // NewMachine builds a machine for the program.
@@ -196,9 +201,16 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		m.ssbTaint = make([]map[uint64]bool, cfg.Threadlets)
 	}
 
+	// The rings are sized by the structures' bounds: fetch stops at the
+	// queue plus its in-flight front-end pipe, a threadlet holds at most the
+	// whole ROB, and drained stores keep their SQ entries until they perform.
 	m.threads = make([]*threadlet, cfg.Threadlets)
 	for i := range m.threads {
-		m.threads[i] = &threadlet{id: i, activeRegion: -1, homeRegion: -1}
+		m.threads[i] = &threadlet{id: i, activeRegion: -1, homeRegion: -1,
+			fq:    newRing[fetchEntry](cfg.FetchQueue + cfg.FrontendDepth*cfg.Width),
+			rob:   newRing[*dynInst](cfg.ROBSize),
+			drain: newRing[*dynInst](cfg.SQSize),
+		}
 	}
 	t0 := m.threads[0]
 	t0.live = true
@@ -354,6 +366,7 @@ func (m *Machine) cycle() {
 	if m.slotSampler != nil {
 		m.tickSlotSampler()
 	}
+	m.releaseLimbo()
 	m.now++
 	m.stats.Cycles = m.now
 }

@@ -13,41 +13,21 @@ import (
 // non-nil, is the branch whose resolution triggered the rollback; its
 // corrected history was already installed by the caller.
 func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedBranch *dynInst) {
-	cut := len(t.rob)
-	for i, e := range t.rob {
-		if e.seq >= fromSeq {
+	cut := t.rob.len()
+	for i := 0; i < t.rob.len(); i++ {
+		if t.rob.at(i).seq >= fromSeq {
 			cut = i
 			break
 		}
 	}
 	var oldestHist uint64
 	haveHist := false
-	for i := len(t.rob) - 1; i >= cut; i-- {
-		e := t.rob[i]
-		e.squashed = true
-		if m.spectreLive {
-			m.squashSpectre(e)
-		}
+	for i := t.rob.len() - 1; i >= cut; i-- {
+		e := t.rob.at(i)
+		m.squashInst(t, e)
 		if e.hasDest {
-			t.renameMap[e.destReg] = e.oldMap
-			if e.destReg.IsFP() {
-				m.fpRegsUsed--
-			} else {
-				m.intRegsUsed--
-			}
+			m.setMap(&t.renameMap[e.destReg], e.oldMap)
 		}
-		if e.state == stDispatched || e.state == stReady {
-			m.iqUsed--
-			t.iqHeld--
-		}
-		if e.meta.IsLoad {
-			m.lqUsed--
-		}
-		if e.meta.IsStore {
-			m.sqUsed--
-		}
-		m.robUsed--
-		t.robHeld--
 		if e.spawnedTid >= 0 {
 			// The detach that spawned was wrong-path: drop its successors.
 			m.squashFrom(e.spawnedTid, core.SquashWrongPath, false)
@@ -71,9 +51,8 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 			oldestHist = e.pred.Hist
 			haveHist = true
 		}
-		e.mispredicted = e.mispredicted || false
 	}
-	t.rob = t.rob[:cut]
+	t.rob.truncate(cut)
 	if m.spectreLive {
 		t.ctlSquashed(fromSeq)
 	}
@@ -176,6 +155,7 @@ func (m *Machine) squashFrom(victimTid int, cause core.SquashCause, restart bool
 			} else {
 				m.emitEvent(EvSquash, tid, v.homeRegion, int(cause))
 			}
+			m.releaseMap(v)
 		}
 	}
 	m.order = m.order[:idx]
@@ -190,41 +170,50 @@ func (m *Machine) squashFrom(victimTid int, cause core.SquashCause, restart bool
 	m.fixYoungest()
 }
 
+// squashInst squashes one in-flight instruction of t and frees its window
+// entries. It leaves the machine at the end of the next cycle (recycle.go).
+func (m *Machine) squashInst(t *threadlet, e *dynInst) {
+	e.squashed = true
+	if m.spectreLive {
+		m.squashSpectre(e)
+	}
+	m.limbo = append(m.limbo, e)
+	m.robUsed--
+	t.robHeld--
+	if e.hasDest {
+		if e.destReg.IsFP() {
+			m.fpRegsUsed--
+		} else {
+			m.intRegsUsed--
+		}
+	}
+	if e.state == stDispatched || e.state == stReady {
+		m.iqUsed--
+		t.iqHeld--
+	}
+	if e.meta.IsLoad {
+		m.lqUsed--
+	}
+	if e.meta.IsStore {
+		m.sqUsed--
+	}
+}
+
 // purgeThreadlet removes all of a threadlet's in-flight state from the
 // shared structures.
 func (m *Machine) purgeThreadlet(t *threadlet) {
-	for _, e := range t.rob {
-		e.squashed = true
-		if m.spectreLive {
-			m.squashSpectre(e)
-		}
-		m.robUsed--
-		t.robHeld--
-		if e.hasDest {
-			if e.destReg.IsFP() {
-				m.fpRegsUsed--
-			} else {
-				m.intRegsUsed--
-			}
-		}
-		if e.state == stDispatched || e.state == stReady {
-			m.iqUsed--
-			t.iqHeld--
-		}
-		if e.meta.IsLoad {
-			m.lqUsed--
-		}
-		if e.meta.IsStore {
-			m.sqUsed--
-		}
+	for i := 0; i < t.rob.len(); i++ {
+		m.squashInst(t, t.rob.at(i))
 	}
-	t.rob = t.rob[:0]
-	// Committed-but-undrained stores still hold SQ entries.
-	for range t.drain {
+	t.rob.truncate(0)
+	// Committed-but-undrained stores still hold SQ entries; they leave with
+	// the squashed instructions.
+	for i := 0; i < t.drain.len(); i++ {
 		m.sqUsed--
+		m.limbo = append(m.limbo, t.drain.at(i))
 	}
-	t.drain = t.drain[:0]
-	t.fq = t.fq[:0]
+	t.drain.truncate(0)
+	t.fq.truncate(0)
 	if m.spectreLive {
 		// The whole epoch was misspeculation: candidates it committed are
 		// confirmed leaks, and its transient windows are gone.
@@ -243,7 +232,6 @@ func (m *Machine) restartThreadlet(t *threadlet) {
 	t.fetchHalted = false
 	t.haltSeen = false
 	t.fetchReadyAt = m.now + m.cfg.SpawnLatency
-	t.fetchWaitInst = nil
 	t.lineValid = false
 	t.hasEpochEnd = false
 	t.detached = false
@@ -261,20 +249,24 @@ func (m *Machine) restartThreadlet(t *threadlet) {
 	t.consumedStart = [isa.NumRegs]bool{}
 	t.committedRegs = t.ckptRegs
 	for r := 0; r < isa.NumRegs; r++ {
-		if p := t.ckptPending[r]; p != nil {
+		if ref := t.ckptPending[r]; ref.e != nil {
+			if ref.stale() {
+				panic("cpu: checkpoint names a recycled instruction")
+			}
+			p := ref.e
 			if p.state >= stDone && !p.wakeHeld {
 				// The future resolved while we were squashing.
-				t.ckptPending[r] = nil
+				t.ckptPending[r] = instRef{}
 				t.ckptRegs[r] = p.result
 				t.ckptTaint[r] = p.taint
 				t.committedRegs[r] = p.result
-				t.renameMap[r] = mapEntry{val: p.result, taint: p.taint}
+				m.setMap(&t.renameMap[r], mapEntry{val: p.result, taint: p.taint})
 				continue
 			}
-			t.renameMap[r] = mapEntry{prod: p}
+			m.setMap(&t.renameMap[r], p.name())
 			continue
 		}
-		t.renameMap[r] = mapEntry{val: t.ckptRegs[r], taint: t.ckptTaint[r]}
+		m.setMap(&t.renameMap[r], mapEntry{val: t.ckptRegs[r], taint: t.ckptTaint[r]})
 	}
 	m.bp.SetHistory(t.id, t.ckptGHR)
 }

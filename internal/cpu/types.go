@@ -16,6 +16,19 @@ const (
 )
 
 // dynInst is one dynamic instruction in flight.
+//
+// Ownership: instructions come from the machine's free list (newInst) and go
+// back to it (recycle.go) only once they have left the machine — committed,
+// drained from the store queue, or squashed — and nothing can still name
+// them. refs counts the names that outlive commit: rename-map slots of every
+// context (a spawned child inherits its parent's) and the oldMap of every
+// uncommitted instruction. Every other name is dropped or checked instead:
+// waiters and ckptPending carry the generation they were taken at; the
+// pipeline queues (readyQ, executing, replayQ, delayedWake) drop squashed
+// entries within a cycle, so a squashed instruction leaves one cycle late,
+// after they have been compacted; srcProd is only ever compared against a
+// waking producer. Recycling poisons an instruction (squashed, next
+// generation), so a stale name fails loudly instead of reading its reuse.
 type dynInst struct {
 	tid  int
 	seq  uint64 // per-threadlet age
@@ -85,12 +98,30 @@ type dynInst struct {
 	fwdSeq uint64
 
 	// waiters are instructions whose operands this result feeds.
-	waiters []*dynInst
+	waiters []instRef
 	// ckptWaiters are (threadlet, reg) checkpoint slots this result fills.
 	ckptWaiters []ckptWaiter
 
 	squashed bool
+
+	// Free-list state (see Ownership above): gen is bumped at every recycle,
+	// refs counts rename-map and oldMap names, gone marks an instruction that
+	// has left the machine.
+	gen  uint32
+	refs int32
+	gone bool
 }
+
+// instRef names an instruction at a generation; it goes stale when the
+// instruction is recycled.
+type instRef struct {
+	e   *dynInst
+	gen uint32
+}
+
+func (e *dynInst) ref() instRef { return instRef{e, e.gen} }
+
+func (r instRef) stale() bool { return r.e.gen != r.gen }
 
 type ckptWaiter struct {
 	tid int
@@ -98,13 +129,26 @@ type ckptWaiter struct {
 	gen uint64
 }
 
-// mapEntry is a rename-map slot: either a pending producer or a value.
-// taint marks a resolved value that derives from a transiently-loaded one
-// (spectre.go); pending entries carry taint on the producer instead.
+// mapEntry is a rename-map slot: either a pending producer (named at
+// generation gen) or a value. taint marks a resolved value that derives from
+// a transiently-loaded one (spectre.go); pending entries carry taint on the
+// producer instead. Slots holding a producer are counted in its refs, so
+// every store to a live slot goes through Machine.setMap.
 type mapEntry struct {
 	prod  *dynInst
 	val   uint64
+	gen   uint32
 	taint bool
+}
+
+func (e *dynInst) name() mapEntry { return mapEntry{prod: e, gen: e.gen} }
+
+// producer returns the instruction the slot waits on, nil for a value.
+func (me mapEntry) producer() *dynInst {
+	if me.prod != nil && me.prod.gen != me.gen {
+		panic("cpu: rename map names a recycled instruction")
+	}
+	return me.prod
 }
 
 type fetchEntry struct {
@@ -130,8 +174,7 @@ type threadlet struct {
 	fetchHalted    bool // stopped at reattach epoch end or HALT
 	haltSeen       bool
 	fetchReadyAt   int64
-	fetchWaitInst  *dynInst // unresolved indirect jump blocking fetch
-	fq             []fetchEntry
+	fq             ring[fetchEntry]
 	lineTagFetched uint64 // last I-cache line fetched (for timing)
 	lineValid      bool
 
@@ -166,11 +209,11 @@ type threadlet struct {
 	// through Run when the threadlet is promoted to architectural.
 	memFault *MemFault
 
-	// ROB slice (ring of in-flight instructions, oldest first).
-	rob []*dynInst
+	// ROB slice (in-flight instructions, oldest first).
+	rob ring[*dynInst]
 
 	// Post-commit store drain queue (the store buffer in front of SSB/L1D).
-	drain []*dynInst
+	drain ring[*dynInst]
 
 	// LoopFrog epoch state.
 	activeRegion int64 // region the epoch belongs to; -1 when none
@@ -199,10 +242,10 @@ type threadlet struct {
 	epochStartPC    int
 
 	// Checkpoint: the register starting state of the epoch (§4, "checkpoint
-	// store"). pendingFrom[r] != nil while the value is an unresolved future
-	// inherited from the parent at spawn.
+	// store"). ckptPending[r] names the producer while the value is an
+	// unresolved future inherited from the parent at spawn.
 	ckptRegs    [isa.NumRegs]uint64
-	ckptPending [isa.NumRegs]*dynInst
+	ckptPending [isa.NumRegs]instRef
 	ckptGHR     uint64
 
 	// Statistics for this epoch.
@@ -222,8 +265,6 @@ type threadlet struct {
 	ckptTaint    [isa.NumRegs]bool
 	pendingLeaks []pendingLeak
 }
-
-func (t *threadlet) robCount() int { return len(t.rob) }
 
 // Stats aggregates a run's counters.
 type Stats struct {

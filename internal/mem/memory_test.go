@@ -136,3 +136,49 @@ func TestMemoryReadWriteProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestLoadProgramSkipsZeroPages(t *testing.T) {
+	m := NewMemory()
+	m.LoadProgram(&asm.Program{DataBase: 0x10000, Data: make([]byte, 5*pageSize+17)})
+	if got := m.Footprint(); got != 0 {
+		t.Errorf("all-zero segment allocated %d pages, want 0", got)
+	}
+}
+
+func TestLoadProgramSparseUnaligned(t *testing.T) {
+	// The segment starts 5 bytes before a page boundary and spans five pages.
+	// Two non-zero pairs straddle page boundaries; the fourth page holds only
+	// zeros and must not be allocated.
+	base := uint64(3*pageSize - 5)
+	data := make([]byte, 4*pageSize)
+	for i, at := range []int{0, 4, 5, pageSize + 4, pageSize + 5, len(data) - 1} {
+		data[at] = byte(i + 1)
+	}
+	m := NewMemory()
+	m.LoadProgram(&asm.Program{DataBase: base, Data: data})
+	got := m.ReadBytes(base, len(data))
+	for i := range data {
+		if got[i] != data[i] {
+			t.Fatalf("byte %d at %#x = %#x, want %#x", i, base+uint64(i), got[i], data[i])
+		}
+	}
+	if fp := m.Footprint(); fp != 4 {
+		t.Errorf("footprint = %d pages, want 4 (the all-zero page skipped)", fp)
+	}
+}
+
+func TestLoadProgramOverwritesResidentPages(t *testing.T) {
+	m := NewMemory()
+	m.Write(0x2000, 8, 0x1122334455667788)
+	m.Write(0x3ff8, 8, 0xffff)
+	m.LoadProgram(&asm.Program{DataBase: 0x2000, Data: make([]byte, 2*pageSize)})
+	if got := m.Read(0x2000, 8); got != 0 {
+		t.Errorf("resident page kept %#x under a zero load, want 0", got)
+	}
+	if got := m.Read(0x3ff8, 8); got != 0 {
+		t.Errorf("second resident page kept %#x under a zero load, want 0", got)
+	}
+	if got := m.Footprint(); got != 2 {
+		t.Errorf("footprint = %d pages, want the 2 already resident", got)
+	}
+}
