@@ -79,6 +79,7 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 	}
 	if e.meta.IsLoad {
 		m.lqUsed--
+		t.lq.pop()
 		if e.memFaulted {
 			// The bad-address load is on the committed path. Architectural:
 			// the program faults now. Speculative: defer — a later squash
@@ -95,6 +96,7 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 	if e.meta.IsStore {
 		// The store performs later, from the post-commit drain queue; the
 		// SQ entry is held until then.
+		t.sq.pop()
 		t.drain.push(e)
 	}
 	if e.meta.IsBranch {

@@ -169,10 +169,12 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 	}
 	if meta.IsLoad {
 		m.lqUsed++
+		t.lq.push(e)
 		e.addrValid = false
 	}
 	if meta.IsStore {
 		m.sqUsed++
+		t.sq.push(e)
 	}
 
 	switch {
@@ -422,10 +424,14 @@ func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predi
 	m.gens[nt.id]++
 	nt.fq.truncate(0)
 	nt.rob.truncate(0)
+	nt.sq.truncate(0)
+	nt.lq.truncate(0)
 	nt.drain.truncate(0)
 	*nt = threadlet{
 		fq:           nt.fq,
 		rob:          nt.rob,
+		sq:           nt.sq,
+		lq:           nt.lq,
 		drain:        nt.drain,
 		ctlInFlight:  nt.ctlInFlight[:0],
 		pendingLeaks: nt.pendingLeaks[:0],

@@ -197,39 +197,46 @@ func (m *Machine) execLoad(e *dynInst) bool {
 
 // findOlderStore returns the youngest store older than the load in the same
 // threadlet whose (resolved) address overlaps it. partial reports that the
-// store does not fully cover the load.
+// store does not fully cover the load. The search walks the threadlet's
+// uncommitted stores (the disambiguation index), youngest first, then the
+// post-commit drain queue.
 func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, partial bool) {
-	check := func(s *dynInst) (hit, part bool) {
-		if !s.addrValid {
-			return false, false // unresolved: proceed optimistically
-		}
-		if s.addr+uint64(s.memSize) <= load.addr || load.addr+uint64(load.memSize) <= s.addr {
-			return false, false
-		}
-		covers := s.addr <= load.addr && s.addr+uint64(s.memSize) >= load.addr+uint64(load.memSize)
-		return true, !covers
-	}
-	for i := t.rob.len() - 1; i >= 0; i-- {
-		s := t.rob.at(i)
-		if s.seq >= load.seq || !s.meta.IsStore {
+	for i := t.sq.len() - 1; i >= 0; i-- {
+		s := t.sq.at(i)
+		if s.seq >= load.seq {
 			continue
 		}
-		if hit, part := check(s); hit {
+		if hit, part := storeHits(s, load); hit {
 			return s, part
 		}
 	}
 	for i := t.drain.len() - 1; i >= 0; i-- {
 		s := t.drain.at(i)
-		if hit, part := check(s); hit {
+		if hit, part := storeHits(s, load); hit {
 			return s, part
 		}
 	}
 	return nil, false
 }
 
+// storeHits reports whether store s's resolved address overlaps the load,
+// and whether only partially. An unresolved store is passed over: the load
+// proceeds optimistically and execStore catches a violation.
+func storeHits(s, load *dynInst) (hit, partial bool) {
+	if !s.addrValid {
+		return false, false
+	}
+	if s.addr+uint64(s.memSize) <= load.addr || load.addr+uint64(load.memSize) <= s.addr {
+		return false, false
+	}
+	covers := s.addr <= load.addr && s.addr+uint64(s.memSize) >= load.addr+uint64(load.memSize)
+	return true, !covers
+}
+
 // execStore generates the store's address (and captures its data). Younger
 // loads in the same threadlet that already executed past it with an
-// overlapping address violated program order and replay (the LSQ check).
+// overlapping address violated program order and replay (the LSQ check):
+// the threadlet rolls back to the oldest of them.
 func (m *Machine) execStore(e *dynInst) {
 	t := m.threads[e.tid]
 	e.addr = e.srcVal[0] + uint64(e.inst.Imm)
@@ -239,12 +246,12 @@ func (m *Machine) execStore(e *dynInst) {
 	m.stats.Stores++
 
 	var violator *dynInst
-	for i := 0; i < t.rob.len(); i++ {
-		l := t.rob.at(i)
-		if l.seq <= e.seq || !l.meta.IsLoad || !l.addrValid {
-			continue
+	for i := t.lq.len() - 1; i >= 0; i-- {
+		l := t.lq.at(i)
+		if l.seq <= e.seq {
+			break // the rest are older than the store
 		}
-		if l.state != stExecuting && l.state != stDone {
+		if !l.addrValid || (l.state != stExecuting && l.state != stDone) {
 			continue
 		}
 		if l.addr+uint64(l.memSize) <= e.addr || e.addr+uint64(e.memSize) <= l.addr {
@@ -253,9 +260,7 @@ func (m *Machine) execStore(e *dynInst) {
 		if l.loadFwdSQ && l.fwdSeq > e.seq {
 			continue // forwarded from a store younger than this one
 		}
-		if violator == nil || l.seq < violator.seq {
-			violator = l
-		}
+		violator = l // youngest first, so the last hit is the oldest
 	}
 	if violator != nil {
 		m.stats.LoadReplaysLSQ++

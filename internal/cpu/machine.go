@@ -203,12 +203,15 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 
 	// The rings are sized by the structures' bounds: fetch stops at the
 	// queue plus its in-flight front-end pipe, a threadlet holds at most the
-	// whole ROB, and drained stores keep their SQ entries until they perform.
+	// whole ROB, its uncommitted stores and loads fit the shared SQ and LQ,
+	// and drained stores keep their SQ entries until they perform.
 	m.threads = make([]*threadlet, cfg.Threadlets)
 	for i := range m.threads {
 		m.threads[i] = &threadlet{id: i, activeRegion: -1, homeRegion: -1,
 			fq:    newRing[fetchEntry](cfg.FetchQueue + cfg.FrontendDepth*cfg.Width),
 			rob:   newRing[*dynInst](cfg.ROBSize),
+			sq:    newRing[*dynInst](cfg.SQSize),
+			lq:    newRing[*dynInst](cfg.LQSize),
 			drain: newRing[*dynInst](cfg.SQSize),
 		}
 	}

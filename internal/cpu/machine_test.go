@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"loopfrog/internal/asm"
@@ -12,7 +14,6 @@ import (
 // architectural state against the reference interpreter.
 func runMachine(t *testing.T, cfg Config, prog *asm.Program) *Stats {
 	t.Helper()
-	oracle := ref.MustRun(prog, ref.Options{})
 	m, err := NewMachine(cfg, prog)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
@@ -21,6 +22,15 @@ func runMachine(t *testing.T, cfg Config, prog *asm.Program) *Stats {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	checkReference(t, prog, m)
+	return stats
+}
+
+// checkReference compares a halted machine's final registers and memory
+// with the reference interpreter's.
+func checkReference(t *testing.T, prog *asm.Program, m *Machine) {
+	t.Helper()
+	oracle := ref.MustRun(prog, ref.Options{})
 	regs := m.FinalRegs()
 	for r := 0; r < isa.NumRegs; r++ {
 		if regs[r] != oracle.Regs[r] {
@@ -30,7 +40,6 @@ func runMachine(t *testing.T, cfg Config, prog *asm.Program) *Stats {
 	if diff := oracle.Mem.Diff(m.Memory()); diff != "" {
 		t.Errorf("final memory differs from reference:\n%s", diff)
 	}
-	return stats
 }
 
 // runBoth runs baseline and LoopFrog configurations, checking both against
@@ -566,4 +575,198 @@ cont:   addi t0, t0, 1
         halt
 `)
 	runBoth(t, prog)
+}
+
+// loadTrace is what watchLoad saw of one static load.
+type loadTrace struct {
+	// forwards lists, per forwarding execution, the label of the store the
+	// load forwarded from and whether that store sat in the post-commit
+	// drain queue rather than the ROB slice.
+	forwards []loadForward
+	replayed bool // the load waited in the replay queue at least once
+	// instances counts the dynamic instances (dispatches) seen per label:
+	// an instruction squashed and re-fetched counts twice.
+	instances map[string]int
+}
+
+type loadForward struct {
+	from      string
+	fromDrain bool
+}
+
+// watchLoad steps prog to its halt on a baseline machine, checking the final
+// state against the reference interpreter, and traces how the load at label
+// load disambiguated against older stores. Programs are straight-line, so
+// the single threadlet's ROB slice and drain queue hold every store the load
+// can meet.
+func watchLoad(t *testing.T, prog *asm.Program, load string) (*Stats, loadTrace) {
+	t.Helper()
+	labelAt := map[int]string{}
+	for name, pc := range prog.Labels {
+		labelAt[pc] = name
+	}
+	loadPC, ok := prog.Labels[load]
+	if !ok {
+		t.Fatalf("no label %q", load)
+	}
+	m, err := NewMachine(BaselineConfig(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := loadTrace{instances: map[string]int{}}
+	pcOf := map[uint64]int{} // every dynamic instance seen, by seq
+	th := m.threads[0]
+	for !m.halted {
+		if m.now > 100_000 {
+			t.Fatal("machine did not halt")
+		}
+		m.cycle()
+		for _, e := range m.replayQ {
+			tr.replayed = tr.replayed || e.pc == loadPC
+		}
+		for i := 0; i < th.rob.len(); i++ {
+			e := th.rob.at(i)
+			if _, ok := pcOf[e.seq]; !ok {
+				pcOf[e.seq] = e.pc
+				tr.instances[labelAt[e.pc]]++
+			}
+			// A forwarded load completes one cycle after it executes, so it
+			// is seen executing exactly once per forwarding execution.
+			if e.pc == loadPC && e.loadFwdSQ && e.state == stExecuting {
+				inDrain := false
+				for j := 0; j < th.drain.len(); j++ {
+					inDrain = inDrain || th.drain.at(j).seq == e.fwdSeq
+				}
+				tr.forwards = append(tr.forwards, loadForward{labelAt[pcOf[e.fwdSeq]], inDrain})
+			}
+		}
+	}
+	if m.memFault != nil {
+		t.Fatal(m.memFault)
+	}
+	checkReference(t, prog, m)
+	return m.Stats(), tr
+}
+
+// TestForwardsFromYoungestOverlappingStore: three older stores all cover the
+// load; it must take the youngest one's bytes. A divide chain at the head
+// keeps the stores uncommitted, so the forwarding comes from the ROB slice.
+func TestForwardsFromYoungestOverlappingStore(t *testing.T) {
+	prog := asm.MustAssemble("youngest", `
+        .data
+v:      .quad 0x1111111111111111
+        .text
+main:   la   a0, v
+        li   t0, 99
+        li   t1, 7
+        div  t2, t0, t1
+        div  t2, t2, t1
+        li   t3, 0x22
+        li   t4, 0x3333
+        li   t5, 0x4444
+s1:     sd   t3, 0(a0)
+s2:     sw   t4, 0(a0)
+s3:     sh   t5, 0(a0)
+fwd:    lh   t6, 0(a0)
+        halt
+`)
+	_, tr := watchLoad(t, prog, "fwd")
+	if n := len(tr.forwards); n == 0 || tr.forwards[n-1] != (loadForward{from: "s3"}) {
+		t.Errorf("forwards = %+v, want the last from s3 in the ROB slice", tr.forwards)
+	}
+}
+
+// TestPartialOverlapReplaysUntilStorePerforms: a byte store covers only part
+// of the doubleword load, so the load cannot forward; it replays until the
+// store has drained and then reads memory. A divide at the head holds the
+// store uncommitted, and a multiply delays the load's address until the
+// store's is known.
+func TestPartialOverlapReplaysUntilStorePerforms(t *testing.T) {
+	prog := asm.MustAssemble("partialreplay", `
+        .data
+v:      .quad 0x1111111111111111
+        .text
+main:   la   a0, v
+        li   t0, 0xff
+        div  t1, t0, t0
+        mul  t2, t0, x0
+        add  a1, a0, t2
+st:     sb   t0, 2(a0)
+ld:     ld   t3, 0(a1)
+        halt
+`)
+	_, tr := watchLoad(t, prog, "ld")
+	if !tr.replayed || len(tr.forwards) != 0 {
+		t.Errorf("replayed = %v, forwards = %+v; want a replay and no forwarding", tr.replayed, tr.forwards)
+	}
+}
+
+// TestForwardsFromDrainQueue: the store commits at once, but the drain
+// queue is backed up behind 32 cold store misses (more than the L1D write
+// buffers), while the load's address waits on a divide. The store is still
+// draining when the load executes and must forward from there.
+func TestForwardsFromDrainQueue(t *testing.T) {
+	var fill strings.Builder
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&fill, "        sd   t0, %d(a2)\n", 64*i)
+	}
+	prog := asm.MustAssemble("drainfwd", `
+        .data
+v:      .quad 0x1111111111111111
+buf:    .zero 2048
+        .text
+main:   la   a0, v
+        la   a2, buf
+        li   t0, 5
+        li   t1, 42
+`+fill.String()+`
+st:     sd   t1, 0(a0)
+        div  t2, t0, t0
+        addi t2, t2, -1
+        add  a1, a0, t2
+ld:     ld   t3, 0(a1)
+        halt
+`)
+	_, tr := watchLoad(t, prog, "ld")
+	if n := len(tr.forwards); n == 0 || tr.forwards[n-1] != (loadForward{from: "st", fromDrain: true}) {
+		t.Errorf("forwards = %+v, want the last from st in the drain queue", tr.forwards)
+	}
+}
+
+// TestLateStoreAddressRollsBackToOldestOverlappingLoad: the store's address
+// resolves behind a divide chain, after two younger loads of the same
+// doubleword (and one of another) have read stale memory. The store rolls
+// the threadlet back once, to the oldest overlapping load: the
+// non-overlapping load before it and the instruction between them survive.
+func TestLateStoreAddressRollsBackToOldestOverlappingLoad(t *testing.T) {
+	prog := asm.MustAssemble("lsqviolation", `
+        .data
+v:      .quad 0x1111111111111111
+w:      .quad 0x2222222222222222
+        .text
+main:   la   a0, v
+        la   a2, w
+        li   t0, 64
+        li   t1, 8
+        li   t3, 77
+        div  t2, t0, t1
+        div  t2, t2, t1
+        addi t2, t2, -1
+        add  a1, a0, t2
+st:     sd   t3, 0(a1)
+other:  ld   t4, 0(a2)
+mark:   addi t5, x0, 3
+l1:     ld   t6, 0(a0)
+l2:     lw   s1, 4(a0)
+        halt
+`)
+	st, tr := watchLoad(t, prog, "l1")
+	if st.LoadReplaysLSQ != 1 {
+		t.Errorf("LoadReplaysLSQ = %d, want 1", st.LoadReplaysLSQ)
+	}
+	for label, want := range map[string]int{"st": 1, "other": 1, "mark": 1, "l1": 2, "l2": 2} {
+		if got := tr.instances[label]; got != want {
+			t.Errorf("%s dispatched %d times, want %d", label, got, want)
+		}
+	}
 }

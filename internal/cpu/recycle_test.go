@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -134,10 +135,65 @@ func TestSquashChurnMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLSQIndexTracksROBOnEngineRun holds the disambiguation index invariant
+// (checked every cycle by runCountingSquashRecycles) over a full-size
+// LoopFrog run of an engine-heavy kernel, with ROB slices near 1024 entries.
+func TestLSQIndexTracksROBOnEngineRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps a full detailed kernel with a per-cycle check")
+	}
+	prog := workloads.ByName(workloads.CPU2017(), "mcf").MustProgram()
+	oracle := ref.MustRun(prog, ref.Options{})
+	m, err := NewMachine(DefaultConfig(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCountingSquashRecycles(m); err != nil {
+		t.Fatal(err)
+	}
+	if diff := oracle.Mem.Diff(m.Memory()); diff != "" {
+		t.Fatalf("memory differs from reference:\n%s", diff)
+	}
+	if st := m.Stats(); st.Spawns == 0 || st.LoadReplaysLSQ+st.Mispredicts == 0 {
+		t.Errorf("%d spawns, %d LSQ replays, %d mispredicts: the run exercised no rollback",
+			st.Spawns, st.LoadReplaysLSQ, st.Mispredicts)
+	}
+}
+
+// lsqIndexError checks that every threadlet's sq and lq hold exactly the
+// stores and loads of its ROB slice, oldest first.
+func lsqIndexError(m *Machine) error {
+	for _, t := range m.threads {
+		ns, nl := 0, 0
+		for i := 0; i < t.rob.len(); i++ {
+			e := t.rob.at(i)
+			switch {
+			case e.meta.IsStore:
+				if ns >= t.sq.len() || t.sq.at(ns) != e {
+					return fmt.Errorf("cycle %d, threadlet %d: ROB store seq %d is not sq[%d]", m.now, t.id, e.seq, ns)
+				}
+				ns++
+			case e.meta.IsLoad:
+				if nl >= t.lq.len() || t.lq.at(nl) != e {
+					return fmt.Errorf("cycle %d, threadlet %d: ROB load seq %d is not lq[%d]", m.now, t.id, e.seq, nl)
+				}
+				nl++
+			}
+		}
+		if ns != t.sq.len() || nl != t.lq.len() {
+			return fmt.Errorf("cycle %d, threadlet %d: sq/lq hold %d/%d entries, ROB slice has %d/%d",
+				m.now, t.id, t.sq.len(), t.lq.len(), ns, nl)
+		}
+	}
+	return nil
+}
+
 // runCountingSquashRecycles steps m to its halt and counts the squashed
 // instructions that were recycled as they left limbo. Each cycle ends with
 // limboPrev holding the instructions the next cycle releases; one whose
 // generation has moved by the end of that cycle went back to the free list.
+// After every cycle it also checks the disambiguation index against the ROB
+// slices (lsqIndexError).
 func runCountingSquashRecycles(m *Machine) (uint64, error) {
 	var recycled uint64
 	var leaving []instRef
@@ -151,6 +207,9 @@ func runCountingSquashRecycles(m *Machine) (uint64, error) {
 			return recycled, m.progressError(ProgressNoCommit)
 		}
 		m.cycle()
+		if err := lsqIndexError(m); err != nil {
+			return recycled, err
+		}
 		for _, r := range leaving {
 			if r.stale() {
 				recycled++

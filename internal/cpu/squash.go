@@ -13,13 +13,7 @@ import (
 // non-nil, is the branch whose resolution triggered the rollback; its
 // corrected history was already installed by the caller.
 func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedBranch *dynInst) {
-	cut := t.rob.len()
-	for i := 0; i < t.rob.len(); i++ {
-		if t.rob.at(i).seq >= fromSeq {
-			cut = i
-			break
-		}
-	}
+	cut := keepOlder(&t.rob, fromSeq)
 	var oldestHist uint64
 	haveHist := false
 	for i := t.rob.len() - 1; i >= cut; i-- {
@@ -53,6 +47,8 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 		}
 	}
 	t.rob.truncate(cut)
+	t.sq.truncate(keepOlder(&t.sq, fromSeq))
+	t.lq.truncate(keepOlder(&t.lq, fromSeq))
 	if m.spectreLive {
 		t.ctlSquashed(fromSeq)
 	}
@@ -65,6 +61,16 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 	}
 	m.redirectFetch(t, target)
 	m.fixYoungest()
+}
+
+// keepOlder returns how many of an age-ordered ring's entries are older
+// than fromSeq: the length a rollback from fromSeq truncates it to.
+func keepOlder(r *ring[*dynInst], fromSeq uint64) int {
+	n := r.len()
+	for n > 0 && r.at(n-1).seq >= fromSeq {
+		n--
+	}
+	return n
 }
 
 // fixYoungest restores the invariant that only a threadlet with a live
@@ -206,6 +212,8 @@ func (m *Machine) purgeThreadlet(t *threadlet) {
 		m.squashInst(t, t.rob.at(i))
 	}
 	t.rob.truncate(0)
+	t.sq.truncate(0)
+	t.lq.truncate(0)
 	// Committed-but-undrained stores still hold SQ entries; they leave with
 	// the squashed instructions.
 	for i := 0; i < t.drain.len(); i++ {

@@ -211,6 +211,9 @@ type threadlet struct {
 
 	// ROB slice (in-flight instructions, oldest first).
 	rob ring[*dynInst]
+	// Disambiguation index: the ROB slice's stores and loads, oldest first.
+	// Memory disambiguation searches these instead of the whole slice.
+	sq, lq ring[*dynInst]
 
 	// Post-commit store drain queue (the store buffer in front of SSB/L1D).
 	drain ring[*dynInst]

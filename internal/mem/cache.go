@@ -101,10 +101,11 @@ type strideEntry struct {
 	valid bool
 }
 
-// level is one cache level.
+// level is one cache level. Its lines live in one flat array, set by set:
+// set i is lines[i*Assoc : (i+1)*Assoc].
 type level struct {
 	cfg      CacheConfig
-	sets     [][]line
+	lines    []line
 	setMask  uint64
 	lineBits uint
 	mshrs    []mshrEntry
@@ -121,11 +122,8 @@ func newLevel(cfg CacheConfig) *level {
 	}
 	l := &level{
 		cfg:     cfg,
-		sets:    make([][]line, numSets),
+		lines:   make([]line, numSets*cfg.Assoc),
 		setMask: uint64(numSets - 1),
-	}
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Assoc)
 	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		l.lineBits++
@@ -135,7 +133,11 @@ func newLevel(cfg CacheConfig) *level {
 
 func (l *level) block(addr uint64) uint64 { return addr >> l.lineBits }
 
-func (l *level) set(block uint64) []line { return l.sets[block&l.setMask] }
+func (l *level) set(block uint64) []line {
+	a := l.cfg.Assoc
+	i := int(block&l.setMask) * a
+	return l.lines[i : i+a : i+a]
+}
 
 func (l *level) probe(block uint64) *line {
 	set := l.set(block)
@@ -228,17 +230,13 @@ func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
 func (l *level) cloneAt(now int64) *level {
 	c := &level{
 		cfg:      l.cfg,
-		sets:     make([][]line, len(l.sets)),
+		lines:    append([]line(nil), l.lines...),
 		setMask:  l.setMask,
 		lineBits: l.lineBits,
 	}
-	for i, set := range l.sets {
-		cs := append([]line(nil), set...)
-		for j := range cs {
-			cs[j].lastUse -= now
-			cs[j].readyAt -= now
-		}
-		c.sets[i] = cs
+	for i := range c.lines {
+		c.lines[i].lastUse -= now
+		c.lines[i].readyAt -= now
 	}
 	for _, e := range l.mshrs {
 		if e.fillAt > now { // expired entries would be pruned anyway
