@@ -76,6 +76,10 @@ type regionState struct {
 type PackPredictor struct {
 	cfg     PackConfig
 	regions map[int64]*regionState
+	// lastID/lastR cache the most recent region lookup: the commit stream
+	// observes every register of a region's instructions one by one.
+	lastID int64
+	lastR  *regionState
 
 	// Stats.
 	Packed        uint64
@@ -90,11 +94,15 @@ func NewPackPredictor(cfg PackConfig) *PackPredictor {
 }
 
 func (p *PackPredictor) region(id int64) *regionState {
+	if p.lastR != nil && p.lastID == id {
+		return p.lastR
+	}
 	r := p.regions[id]
 	if r == nil {
 		r = &regionState{}
 		p.regions[id] = r
 	}
+	p.lastID, p.lastR = id, r
 	return r
 }
 
@@ -275,6 +283,7 @@ func (p *PackPredictor) Verify(predicted, actual *[isa.NumRegs]uint64) []isa.Reg
 // sampled windows.
 func (p *PackPredictor) Clone() *PackPredictor {
 	c := *p
+	c.lastR = nil // it points into p's records
 	c.regions = make(map[int64]*regionState, len(p.regions))
 	for id, r := range p.regions {
 		cp := *r

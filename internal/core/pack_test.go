@@ -199,3 +199,23 @@ func TestPackMeanFactor(t *testing.T) {
 		t.Errorf("mean factor = %v, want 11", got)
 	}
 }
+
+// TestPackCloneDoesNotTrainSource: the region-lookup cache must not survive
+// Clone, or a checkpoint's predictor would keep writing its source's record
+// of the region it last looked up.
+func TestPackCloneDoesNotTrainSource(t *testing.T) {
+	p := NewPackPredictor(DefaultPackConfig(1024))
+	p.ObserveLiveIn(7, isa.X(5)) // leaves region 7 in the lookup cache
+	c := p.Clone()
+	c.ObserveWrite(7, isa.X(5))
+	if got := p.IVs(7); len(got) != 0 {
+		t.Errorf("source IVs = %v after training only the clone, want none", got)
+	}
+	if got := c.IVs(7); len(got) != 1 || got[0] != isa.X(5) {
+		t.Errorf("clone IVs = %v, want [%v]", got, isa.X(5))
+	}
+	p.ObserveWrite(7, isa.X(6))
+	if got := c.IVs(7); len(got) != 1 {
+		t.Errorf("clone IVs = %v after training only the source, want one", got)
+	}
+}

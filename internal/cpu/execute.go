@@ -79,7 +79,12 @@ func (m *Machine) issue() {
 		}
 		n := min(units, len(live))
 		for _, e := range live[:n] {
-			m.execOne(e)
+			// A store earlier in the batch may have rolled e's threadlet
+			// back; the squash already released e's IQ entry, and e
+			// still takes its pipe slot.
+			if !e.squashed {
+				m.execOne(e)
+			}
 		}
 		m.readyQ[c] = append(m.readyQ[c][:0], live[n:]...)
 	}

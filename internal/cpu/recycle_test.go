@@ -188,12 +188,37 @@ func lsqIndexError(m *Machine) error {
 	return nil
 }
 
+// iqAccountingError checks the shared IQ count, and each threadlet's share
+// of it, against the instructions that hold an IQ entry: the non-NOP ROB
+// entries still waiting to issue.
+func iqAccountingError(m *Machine) error {
+	used := 0
+	for _, t := range m.threads {
+		held := 0
+		for i := 0; i < t.rob.len(); i++ {
+			e := t.rob.at(i)
+			if e.meta.Class != isa.ClassNop && (e.state == stDispatched || e.state == stReady) {
+				held++
+			}
+		}
+		if held != t.iqHeld {
+			return fmt.Errorf("cycle %d, threadlet %d: iqHeld = %d, %d ROB entries wait to issue",
+				m.now, t.id, t.iqHeld, held)
+		}
+		used += held
+	}
+	if used != m.iqUsed {
+		return fmt.Errorf("cycle %d: iqUsed = %d, %d ROB entries wait to issue", m.now, m.iqUsed, used)
+	}
+	return nil
+}
+
 // runCountingSquashRecycles steps m to its halt and counts the squashed
 // instructions that were recycled as they left limbo. Each cycle ends with
 // limboPrev holding the instructions the next cycle releases; one whose
 // generation has moved by the end of that cycle went back to the free list.
 // After every cycle it also checks the disambiguation index against the ROB
-// slices (lsqIndexError).
+// slices (lsqIndexError) and the IQ occupancy counts (iqAccountingError).
 func runCountingSquashRecycles(m *Machine) (uint64, error) {
 	var recycled uint64
 	var leaving []instRef
@@ -210,6 +235,9 @@ func runCountingSquashRecycles(m *Machine) (uint64, error) {
 		if err := lsqIndexError(m); err != nil {
 			return recycled, err
 		}
+		if err := iqAccountingError(m); err != nil {
+			return recycled, err
+		}
 		for _, r := range leaving {
 			if r.stale() {
 				recycled++
@@ -221,6 +249,30 @@ func runCountingSquashRecycles(m *Machine) (uint64, error) {
 		}
 	}
 	return recycled, m.memFault
+}
+
+// TestIQAccountingSurvivesSameCycleRollback: on tonto a store's conflict
+// check rolls its threadlet back while younger instructions of the same
+// issue batch are still to execute. Those are squashed and hand back their
+// IQ entries in the rollback; issuing them anyway released the entries a
+// second time and let the IQ grow past its size. The per-cycle check of
+// runCountingSquashRecycles holds the counts to the ROB contents.
+func TestIQAccountingSurvivesSameCycleRollback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps a full detailed kernel with a per-cycle check")
+	}
+	prog := workloads.ByName(workloads.CPU2006(), "tonto").MustProgram()
+	oracle := ref.MustRun(prog, ref.Options{})
+	m, err := NewMachine(DefaultConfig(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCountingSquashRecycles(m); err != nil {
+		t.Fatal(err)
+	}
+	if diff := oracle.Mem.Diff(m.Memory()); diff != "" {
+		t.Fatalf("memory differs from reference:\n%s", diff)
+	}
 }
 
 // TestDetailedRunAllocationBudget: a detailed LoopFrog run allocates almost

@@ -7,6 +7,8 @@ package mem
 // answers "when would this access complete?", which is the contract the
 // out-of-order core needs.
 
+import "sync/atomic"
+
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
 	Name         string
@@ -101,14 +103,36 @@ type strideEntry struct {
 	valid bool
 }
 
-// level is one cache level. Its lines live in one flat array, set by set:
-// set i is lines[i*Assoc : (i+1)*Assoc].
+// chunkLines is the number of lines in one copy-on-write chunk of a cache
+// level (8 KiB of tags). A chunk holds whole sets.
+const chunkLines = 256
+
+// lineChunk is a run of whole sets of one level. A chunk may be shared by
+// several levels after CloneAt; only the level whose id is owner writes it in
+// place. Its timestamps are in the clock of the level that filled it, whose
+// cycle 0 is the global cycle origin.
+type lineChunk struct {
+	owner  uint64
+	origin int64
+	lines  [chunkLines]line
+}
+
+// levelIDs hands out the ids that key chunk ownership.
+var levelIDs atomic.Uint64
+
+// level is one cache level. Its lines live in copy-on-write chunks, set by
+// set: set i is lines[(i%setsPerChunk)*Assoc:][:Assoc] of chunk
+// i/setsPerChunk. A nil chunk reads as all-invalid lines.
 type level struct {
-	cfg      CacheConfig
-	lines    []line
-	setMask  uint64
-	lineBits uint
-	mshrs    []mshrEntry
+	cfg        CacheConfig
+	chunks     []*lineChunk
+	id         atomic.Uint64 // owner key of the chunks this level may write
+	origin     int64         // global cycle that is this level's cycle 0
+	slab       []lineChunk   // preallocated chunks for copy-on-write
+	setMask    uint64
+	chunkShift uint // log2 of sets per chunk
+	lineBits   uint
+	mshrs      []mshrEntry
 	// outstanding store-miss count emulating write buffers.
 	storeBusy []int64 // completion times of in-flight store misses
 	stats     CacheStats
@@ -122,9 +146,13 @@ func newLevel(cfg CacheConfig) *level {
 	}
 	l := &level{
 		cfg:     cfg,
-		lines:   make([]line, numSets*cfg.Assoc),
 		setMask: uint64(numSets - 1),
 	}
+	for 2<<l.chunkShift*cfg.Assoc <= chunkLines {
+		l.chunkShift++
+	}
+	l.chunks = make([]*lineChunk, (numSets+1<<l.chunkShift-1)>>l.chunkShift)
+	l.id.Store(levelIDs.Add(1))
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		l.lineBits++
 	}
@@ -133,10 +161,42 @@ func newLevel(cfg CacheConfig) *level {
 
 func (l *level) block(addr uint64) uint64 { return addr >> l.lineBits }
 
+// set returns the lines of block's set, first making the chunk holding it
+// this level's own: a missing chunk is allocated, a shared one copied with
+// its timestamps rebased from the chunk's clock to this level's.
 func (l *level) set(block uint64) []line {
+	s := block & l.setMask
+	ci := s >> l.chunkShift
+	c := l.chunks[ci]
+	if id := l.id.Load(); c == nil || c.owner != id {
+		nc := l.newChunk()
+		if c != nil {
+			nc.lines = c.lines
+			if shift := l.origin - c.origin; shift != 0 {
+				for i := range nc.lines {
+					nc.lines[i].lastUse -= shift
+					nc.lines[i].readyAt -= shift
+				}
+			}
+		}
+		nc.owner, nc.origin = id, l.origin
+		l.chunks[ci] = nc
+		c = nc
+	}
 	a := l.cfg.Assoc
-	i := int(block&l.setMask) * a
-	return l.lines[i : i+a : i+a]
+	i := int(s&(1<<l.chunkShift-1)) * a
+	return c.lines[i : i+a : i+a]
+}
+
+// newChunk takes a zeroed chunk from the level's slab, refilling the slab a
+// few chunks at a time so that touching a chunk rarely allocates.
+func (l *level) newChunk() *lineChunk {
+	if len(l.slab) == 0 {
+		l.slab = make([]lineChunk, min(16, len(l.chunks)))
+	}
+	c := &l.slab[0]
+	l.slab = l.slab[1:]
+	return c
 }
 
 func (l *level) probe(block uint64) *line {
@@ -206,12 +266,19 @@ func (h *Hierarchy) Stats() (l1i, l1d, l2 CacheStats) {
 	return h.l1i.stats, h.l1d.stats, h.l2.stats
 }
 
-// CloneAt returns a deep copy of the hierarchy's warm state — tags, MSHRs,
-// write buffers, stride tables — rebased so that `now` becomes cycle 0, with
+// CloneAt returns a copy of the hierarchy's warm state — tags, MSHRs, write
+// buffers, stride tables — rebased so that `now` becomes cycle 0, with
 // statistics counters reset. It is how the fast-functional tier's warm cache
 // state seeds a detailed machine whose clock starts at zero: timestamps in
 // the past become non-positive (complete), in-flight fills stay slightly in
 // the future, and LRU ordering is preserved because rebasing is monotonic.
+//
+// The tag arrays are copy-on-write: the clone shares every chunk of lines
+// with h, and whichever of the two first touches a chunk afterwards copies
+// it (rebasing its timestamps then), so a clone costs one pointer per chunk
+// plus the lines it goes on to touch. The small structures are copied
+// eagerly. Several goroutines may clone one hierarchy that nobody is
+// driving at the same time.
 func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
 	c := &Hierarchy{
 		cfg:      h.cfg,
@@ -225,19 +292,20 @@ func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
 	return c
 }
 
-// cloneAt deep-copies one level with timestamps rebased to now and stats
-// reset.
+// cloneAt copies one level with its clock rebased to now and stats reset.
+// The clone shares l's chunks, and l takes a fresh id, so neither side
+// writes a shared chunk in place.
 func (l *level) cloneAt(now int64) *level {
 	c := &level{
-		cfg:      l.cfg,
-		lines:    append([]line(nil), l.lines...),
-		setMask:  l.setMask,
-		lineBits: l.lineBits,
+		cfg:        l.cfg,
+		chunks:     append([]*lineChunk(nil), l.chunks...),
+		origin:     l.origin + now,
+		setMask:    l.setMask,
+		chunkShift: l.chunkShift,
+		lineBits:   l.lineBits,
 	}
-	for i := range c.lines {
-		c.lines[i].lastUse -= now
-		c.lines[i].readyAt -= now
-	}
+	c.id.Store(levelIDs.Add(1))
+	l.id.Store(levelIDs.Add(1))
 	for _, e := range l.mshrs {
 		if e.fillAt > now { // expired entries would be pruned anyway
 			e.fillAt -= now
