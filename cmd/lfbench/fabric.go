@@ -13,9 +13,10 @@ package main
 //     the fabric's consistent-hash routing partitions the sweep so each
 //     node's share fits its cache and repeats stay resident. This is the
 //     aggregate-cache throughput win, and it holds even on one core.
-//   - affinity: caches unbounded on both sides. Shows the fabric's hit rate
-//     matches single-node — routing on the fingerprint loses (almost) no
-//     cache efficiency to stealing or hedging.
+//   - affinity: caches unbounded on both sides. The fabric's hit rate
+//     equals single-node's: every repeat runs on the worker whose cache
+//     holds its result, so routing on the fingerprint loses no cache
+//     efficiency.
 
 import (
 	"bytes"
@@ -36,9 +37,10 @@ import (
 const fabricNodes = 3
 
 // fabricJob is one sweep lane: a loop program whose trip count makes the
-// simulation long enough that serving overhead is noise.
+// simulation long enough that serving overhead is noise (the single-node
+// capacity side takes several seconds on a 2-core host).
 func fabricJob(i int) map[string]any {
-	trips := 40000 + 4000*i
+	trips := 320000 + 32000*i
 	asm := fmt.Sprintf(`
 main:   li   t0, 0
         li   t1, %d
@@ -166,13 +168,10 @@ func runFabricPhase(jobs []map[string]any, cacheCap int) (fabricPhase, error) {
 	}
 	var nodes []node
 	// All nodes share this process's CPUs, so probe round-trips inflate under
-	// sim load: soften the failure detector accordingly. Hedging is disabled
-	// because it buys tail latency with duplicate work — the opposite of what
-	// a capacity-bound throughput study measures.
+	// sim load: soften the failure detector accordingly.
 	coord := fabric.NewCoordinator(fabric.Config{
 		ProbeInterval: time.Second,
 		ProbeTimeout:  10 * time.Second,
-		HedgeDisabled: true,
 		Detector:      fabric.DetectorConfig{MinInterval: 2 * time.Second},
 	})
 	for i := 0; i < fabricNodes; i++ {
@@ -226,8 +225,8 @@ func printFabricPhase(name string, ph fabricPhase) {
 		ph.Single.Seconds, ph.Single.JobsPerSec, ph.Single.CacheHitRate)
 	fmt.Printf("  %d-node fabric: %6.2fs  %5.1f jobs/s  hit rate %.2f  -> %.2fx\n",
 		fabricNodes, ph.Fabric.Seconds, ph.Fabric.JobsPerSec, ph.Fabric.CacheHitRate, ph.Speedup)
-	fmt.Printf("  fabric stats: %d dispatches, %d steals, %d hedges (%d won), %d retries\n",
-		ph.Stats.Dispatches, ph.Stats.Steals, ph.Stats.Hedges, ph.Stats.HedgesWon, ph.Stats.Retries)
+	fmt.Printf("  fabric stats: %d dispatches, %d retries, %d requeues\n",
+		ph.Stats.Dispatches, ph.Stats.Retries, ph.Stats.Requeues)
 }
 
 // runFabric measures the sweep on both topologies and writes jsonPath.

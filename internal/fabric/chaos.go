@@ -16,16 +16,16 @@ import (
 // Fabric chaos: seeded, deterministic injection of the three distributed
 // failure modes — worker kill (permanent transport death), partition
 // (transient unreachability window), and delay (added request latency) — at
-// the coordinator's HTTP transport, below every retry/hedge/requeue
-// mechanism, so chaos exercises exactly the code paths real failures take.
+// the coordinator's HTTP transport, below every retry and requeue mechanism,
+// so chaos exercises exactly the code paths real failures take.
 //
 // Decisions draw from independent per-kind streams derived with
 // fault.StreamSeed from one base seed, mirroring internal/fault's design:
 // one -chaos-seed reproduces the whole failure schedule. What stays
 // deterministic under chaos is the *result set* — simulations are pure, so
 // however many workers die mid-sweep, every job that completes returns
-// byte-identical results to a clean single-node run; chaos_test.go holds the
-// fabric to that.
+// byte-identical results to a clean single-node run;
+// TestChaosFabricDifferential in cluster_test.go holds the fabric to that.
 
 // chaosKind enumerates the injectable fabric failures.
 type chaosKind int

@@ -318,10 +318,12 @@ func TestClusterSSEFailoverNoGoroutineLeak(t *testing.T) {
 	})
 }
 
-// TestChaosFabricDifferential is the tentpole acceptance check: a sweep run
+// TestChaosFabricDifferential is the fabric's acceptance check: a sweep run
 // on a 3-node fabric under seeded chaos (kills, partitions, delays) must
 // produce results byte-identical to a clean single-node run, with only the
-// worker attribution differing.
+// worker attribution differing. It runs at several pinned seeds; the retry,
+// requeue and death counts depend on probe timing, so they are logged, not
+// asserted.
 func TestChaosFabricDifferential(t *testing.T) {
 	specs := make([]map[string]any, 10)
 	for i := range specs {
@@ -350,26 +352,30 @@ func TestChaosFabricDifferential(t *testing.T) {
 		want[i] = normalizeResult(t, v.Result)
 	}
 
-	// Chaotic 3-node fabric, pinned seed: the injected kills, partition
-	// windows and delays replay identically run over run.
-	chaos, err := ParseChaos("kill=0.0005,partition=0.02,delay=0.1", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newCluster(t, 3, chaos)
-	for i, spec := range specs {
-		code, v := clusterPost(t, cl.fts.URL, spec)
-		if code != http.StatusOK || v.Status != "done" {
-			t.Fatalf("fabric %s: %d %+v", spec["name"], code, v)
-		}
-		if got := normalizeResult(t, v.Result); got != want[i] {
-			t.Errorf("%s: fabric result diverges under chaos\n fabric: %s\n single: %s", spec["name"], got, want[i])
-		}
-	}
-	st := cl.coord.Stats()
-	t.Logf("chaos run stats: %+v", st)
-	if st.Jobs == 0 {
-		t.Errorf("no jobs reached the coordinator; differential proved nothing")
+	for _, seed := range []int64{1, 3, 7, 9, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			// Chaotic 3-node fabric, pinned seed: the injected kills,
+			// partition windows and delays replay identically run over run.
+			chaos, err := ParseChaos("kill=0.0005,partition=0.02,delay=0.1", seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := newCluster(t, 3, chaos)
+			for i, spec := range specs {
+				code, v := clusterPost(t, cl.fts.URL, spec)
+				if code != http.StatusOK || v.Status != "done" {
+					t.Fatalf("fabric %s: %d %+v", spec["name"], code, v)
+				}
+				if got := normalizeResult(t, v.Result); got != want[i] {
+					t.Errorf("%s: fabric result diverges under chaos\n fabric: %s\n single: %s", spec["name"], got, want[i])
+				}
+			}
+			st := cl.coord.Stats()
+			t.Logf("%s; stats: %+v", chaos, st)
+			if st.Jobs == 0 {
+				t.Errorf("no jobs reached the coordinator; differential proved nothing")
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,35 +27,6 @@ type Config struct {
 	// Detector tunes the per-worker failure detector.
 	Detector DetectorConfig
 
-	// VNodes is the consistent-hash virtual-node count per worker (default
-	// DefaultVNodes).
-	VNodes int
-
-	// HedgePercentile picks the dispatch-latency percentile that arms the
-	// straggler hedge (default 0.95); the hedge fires after HedgeFactor times
-	// that latency (default 1.5), clamped to [HedgeMinDelay, HedgeMaxDelay]
-	// (defaults 100ms, 10s). Before HedgeWarmup samples exist the hedge uses
-	// HedgeColdDelay (default 2s). HedgeDisabled turns hedging off.
-	HedgePercentile float64
-	HedgeFactor     float64
-	HedgeMinDelay   time.Duration
-	HedgeMaxDelay   time.Duration
-	HedgeColdDelay  time.Duration
-	HedgeDisabled   bool
-
-	// MaxDispatchRetries bounds transport-level retries per job (default 3);
-	// RetryBaseDelay seeds the exponential backoff between them (default
-	// 50ms), capped at RetryMaxDelay (default 2s). Each delay carries ±50%
-	// jitter so a rack of retries does not stampede the surviving workers.
-	MaxDispatchRetries int
-	RetryBaseDelay     time.Duration
-	RetryMaxDelay      time.Duration
-
-	// RequestGrace pads a dispatched job's HTTP deadline beyond the job's own
-	// timeout, so the worker's 504 arrives before the coordinator gives up on
-	// the connection (default 30s).
-	RequestGrace time.Duration
-
 	// WrapTransport, when non-nil, wraps each member's HTTP transport — the
 	// chaos fabric's injection point. base is never nil.
 	WrapTransport func(workerID string, base http.RoundTripper) http.RoundTripper
@@ -72,45 +42,25 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
 	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile >= 1 {
-		c.HedgePercentile = 0.95
-	}
-	if c.HedgeFactor <= 1 {
-		c.HedgeFactor = 1.5
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 100 * time.Millisecond
-	}
-	if c.HedgeMaxDelay <= c.HedgeMinDelay {
-		c.HedgeMaxDelay = 10 * time.Second
-	}
-	if c.HedgeColdDelay <= 0 {
-		c.HedgeColdDelay = 2 * time.Second
-	}
-	if c.MaxDispatchRetries <= 0 {
-		c.MaxDispatchRetries = 3
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= c.RetryBaseDelay {
-		c.RetryMaxDelay = 2 * time.Second
-	}
-	if c.RequestGrace <= 0 {
-		c.RequestGrace = 30 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
 	return c
 }
 
-// hedgeWarmup is how many latency samples the hedge trigger needs before it
-// trusts the percentile estimate over HedgeColdDelay.
-const hedgeWarmup = 8
-
-// latWindow is the dispatch-latency reservoir size behind the hedge trigger.
-const latWindow = 256
+const (
+	// maxDispatchRetries bounds transport-level retries per job;
+	// retryBaseDelay seeds the exponential backoff between them, capped at
+	// retryMaxDelay. Each delay carries ±50% jitter so a rack of retries does
+	// not stampede the surviving workers.
+	maxDispatchRetries = 3
+	retryBaseDelay     = 50 * time.Millisecond
+	retryMaxDelay      = 2 * time.Second
+	// requestGrace pads a dispatched job's HTTP deadline beyond the job's own
+	// timeout, so the worker's 504 arrives before the coordinator gives up on
+	// the connection.
+	requestGrace = 30 * time.Second
+)
 
 // Coordinator places admitted jobs on the worker fleet. It implements
 // serve.RemoteExecutor; see the package comment for the full design.
@@ -122,27 +72,16 @@ type Coordinator struct {
 	cond    *sync.Cond
 	closed  bool
 	members map[string]*member
-	// queues holds per-home-worker FIFO queues of placed-but-undisached
-	// items; dispatchers pop their own queue first and steal from the longest
-	// other queue when idle.
-	queues map[string][]queueItem
+	// queues holds each worker's FIFO of placed-but-undispatched tasks; only
+	// that worker's dispatch slots pop it.
+	queues map[string][]*task
 	// quarantined holds (worker, fingerprint) pairs that answered with a
 	// panic; placement skips them permanently.
 	quarantined map[string]struct{}
-	// seen maps a fingerprint to the worker that last completed it: the node
-	// whose run cache holds the result. Placement prefers it over the ring
-	// home (they differ after a steal or failover moved the key), and thieves
-	// refuse to steal work that is about to be a cache hit where it sits.
-	seen map[string]string
 
 	stopc    chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	latMu  sync.Mutex
-	lats   [latWindow]time.Duration
-	latLen int
-	latPos int
 
 	m fabricMetrics
 }
@@ -150,10 +89,6 @@ type Coordinator struct {
 type fabricMetrics struct {
 	jobs         atomic.Uint64
 	dispatches   atomic.Uint64
-	steals       atomic.Uint64
-	hedges       atomic.Uint64
-	hedgesWon    atomic.Uint64
-	hedgesWasted atomic.Uint64
 	retries      atomic.Uint64
 	reroutes     atomic.Uint64
 	requeues     atomic.Uint64
@@ -176,14 +111,9 @@ type member struct {
 	joined   time.Time
 }
 
-// queueItem is one placement of a task on a home queue.
-type queueItem struct {
-	t     *task
-	hedge bool
-}
-
-// task is one ExecuteRemote call's lifetime across placements, retries,
-// hedges, and requeues. finish resolves it exactly once.
+// task is one ExecuteRemote call's lifetime across placements, retries and
+// requeues. It sits on at most one queue or dispatch at a time; finish
+// resolves it exactly once.
 type task struct {
 	key     string // run-cache fingerprint: the routing key
 	body    []byte // marshalled JobSpec, reused across dispatches
@@ -191,17 +121,13 @@ type task struct {
 	ctx     context.Context
 	done    chan struct{}
 
-	mu         sync.Mutex
-	finished   bool
-	res        *serve.RemoteResult
-	err        error
-	tried      map[string]struct{} // workers this task was placed on
-	attempts   int                 // transport-level retries consumed
-	panicHops  int                 // reroutes consumed after panic answers
-	requeued   bool                // the exactly-once death-requeue budget
-	hedged     bool
-	hedgeTimer *time.Timer
-	cancels    []context.CancelFunc // per-dispatch cancels
+	mu        sync.Mutex
+	finished  bool
+	res       *serve.RemoteResult
+	err       error
+	attempts  int  // transport-level retries consumed
+	panicHops int  // reroutes consumed after panic answers
+	requeued  bool // the exactly-once death-requeue budget
 }
 
 func (t *task) isDone() bool {
@@ -210,40 +136,18 @@ func (t *task) isDone() bool {
 	return t.finished
 }
 
-// finish resolves the task exactly once, stops the hedge timer, and cancels
-// every outstanding dispatch. Reports whether this call won.
-func (t *task) finish(res *serve.RemoteResult, err error) bool {
+// finish resolves the task; later calls are no-ops. A dispatch still in
+// flight needs no cancel here: the client's context and Close already
+// cancel it.
+func (t *task) finish(res *serve.RemoteResult, err error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.finished {
-		t.mu.Unlock()
-		return false
+		return
 	}
 	t.finished = true
 	t.res, t.err = res, err
-	timer := t.hedgeTimer
-	cancels := t.cancels
-	t.cancels = nil
-	t.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
-	for _, cancel := range cancels {
-		cancel()
-	}
 	close(t.done)
-	return true
-}
-
-func (t *task) addCancel(cancel context.CancelFunc) {
-	t.mu.Lock()
-	t.cancels = append(t.cancels, cancel)
-	t.mu.Unlock()
-}
-
-func (t *task) wasHedged() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hedged
 }
 
 // NewCoordinator returns a coordinator with no workers. Workers register via
@@ -251,11 +155,10 @@ func (t *task) wasHedged() bool {
 func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:         cfg.withDefaults(),
-		ring:        NewRing(cfg.VNodes),
+		ring:        NewRing(),
 		members:     make(map[string]*member),
-		queues:      make(map[string][]queueItem),
+		queues:      make(map[string][]*task),
 		quarantined: make(map[string]struct{}),
-		seen:        make(map[string]string),
 		stopc:       make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -298,7 +201,6 @@ func (c *Coordinator) AddWorker(info JoinInfo) error {
 	}
 	c.members[info.ID] = m
 	c.ring.Add(m.id)
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.cfg.Logf("fabric: worker %s joined at %s (%d slots)", m.id, m.url, slots)
 	c.wg.Add(1 + slots)
@@ -317,12 +219,10 @@ func (c *Coordinator) Close() {
 	c.closed = true
 	c.stopOnce.Do(func() { close(c.stopc) })
 	var orphans []*task
-	for _, items := range c.queues {
-		for _, it := range items {
-			orphans = append(orphans, it.t)
-		}
+	for _, q := range c.queues {
+		orphans = append(orphans, q...)
 	}
-	c.queues = make(map[string][]queueItem)
+	c.queues = make(map[string][]*task)
 	for _, m := range c.members {
 		for t, cancel := range m.inflight {
 			cancel()
@@ -339,8 +239,8 @@ func (c *Coordinator) Close() {
 }
 
 // ExecuteRemote implements serve.RemoteExecutor: place the job on its home
-// worker's queue, arm the straggler hedge, and wait for the first terminal
-// answer. See remote.go in internal/serve for the error contract.
+// worker's queue and wait for the terminal answer. See remote.go in
+// internal/serve for the error contract.
 func (c *Coordinator) ExecuteRemote(ctx context.Context, fingerprint string, spec serve.JobSpec) (*serve.RemoteResult, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -356,10 +256,9 @@ func (c *Coordinator) ExecuteRemote(ctx context.Context, fingerprint string, spe
 		timeout: timeout,
 		ctx:     ctx,
 		done:    make(chan struct{}),
-		tried:   make(map[string]struct{}),
 	}
 	c.m.jobs.Add(1)
-	if !c.enqueue(t, false, "") {
+	if !c.enqueue(t, "") {
 		c.m.degradations.Add(1)
 		return nil, serve.ErrRemoteUnavailable
 	}
@@ -376,280 +275,94 @@ func (c *Coordinator) ExecuteRemote(ctx context.Context, fingerprint string, spe
 	}
 }
 
-// enqueue places the task on the best eligible home queue: ring order from
-// the key's home node, skipping dead/probation/suspect workers, quarantined
-// (worker, key) pairs, the excluded worker, and — for hedges — any worker
-// the task already landed on. Reports false when no worker is eligible (the
-// caller degrades or drops the hedge).
-func (c *Coordinator) enqueue(t *task, hedge bool, exclude string) bool {
+// enqueue is the one placement path: the first worker in ring order from the
+// key's home that is Alive, not quarantined for the key and not the excluded
+// worker. When only the excluded worker qualifies the task goes back to it,
+// since the failure that excluded it may have been transient. Reports false
+// when no worker is eligible (the caller degrades).
+func (c *Coordinator) enqueue(t *task, exclude string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return false
 	}
-	order := c.ring.LookupN(t.key, len(c.members))
-	// The worker that already holds this key's cached result beats the ring
-	// home: after a steal or failover moved the key, rerouting repeats to the
-	// ring home would re-simulate what another node has resident.
-	if owner, ok := c.seen[t.key]; ok && len(order) > 0 && owner != order[0] {
-		order = append([]string{owner}, order...)
-	}
 	pick := ""
-	for _, id := range order {
-		m, ok := c.members[id]
-		if !ok || m.det.State() != StateAlive {
-			continue
+	for _, id := range c.ring.LookupN(t.key, len(c.members)) {
+		if id != exclude && c.eligibleLocked(id, t.key) {
+			pick = id
+			break
 		}
-		if _, bad := c.quarantined[pairKey(id, t.key)]; bad {
-			continue
-		}
-		if id == exclude {
-			continue
-		}
-		if hedge {
-			t.mu.Lock()
-			_, dup := t.tried[id]
-			t.mu.Unlock()
-			if dup {
-				continue
-			}
-		}
-		pick = id
-		break
 	}
-	if pick == "" && !hedge && exclude != "" {
-		// Down to one worker and it is the one we just failed against: retry
-		// there rather than degrade — the failure may have been transient.
-		if m, ok := c.members[exclude]; ok && m.det.State() == StateAlive {
-			if _, bad := c.quarantined[pairKey(exclude, t.key)]; !bad {
-				pick = exclude
-			}
-		}
+	if pick == "" && exclude != "" && c.eligibleLocked(exclude, t.key) {
+		pick = exclude
 	}
 	if pick == "" {
 		return false
 	}
-	t.mu.Lock()
-	t.tried[pick] = struct{}{}
-	t.mu.Unlock()
-	c.queues[pick] = append(c.queues[pick], queueItem{t: t, hedge: hedge})
+	c.queues[pick] = append(c.queues[pick], t)
 	c.cond.Broadcast()
 	return true
 }
 
-// armHedge starts the task's hedge timer once, on its first primary
-// dispatch. Retries and hedges never re-arm it.
-func (c *Coordinator) armHedge(t *task) {
-	d := c.hedgeDelay()
-	t.mu.Lock()
-	if !t.finished && t.hedgeTimer == nil {
-		t.hedgeTimer = time.AfterFunc(d, func() { c.hedge(t) })
+// eligibleLocked reports whether a task of key may be placed on worker id.
+// Caller holds c.mu.
+func (c *Coordinator) eligibleLocked(id, key string) bool {
+	m, ok := c.members[id]
+	if !ok || m.det.State() != StateAlive {
+		return false
 	}
-	t.mu.Unlock()
+	_, bad := c.quarantined[pairKey(id, key)]
+	return !bad
 }
 
-// hedge launches the straggler copy: same task, next eligible ring node,
-// first terminal answer wins. Simulations are deterministic and the worker
-// run-cache absorbs duplicates, so a wasted hedge costs capacity, never
-// correctness.
-func (c *Coordinator) hedge(t *task) {
-	if t.isDone() {
-		return
-	}
-	if c.enqueue(t, true, "") {
-		t.mu.Lock()
-		t.hedged = true
-		t.mu.Unlock()
-		c.m.hedges.Add(1)
-	}
-}
-
-// hedgeDelay derives the hedge trigger from the recent dispatch-latency
-// percentile, falling back to HedgeColdDelay until enough samples exist.
-func (c *Coordinator) hedgeDelay() time.Duration {
-	c.latMu.Lock()
-	n := c.latLen
-	var sorted []time.Duration
-	if n >= hedgeWarmup {
-		sorted = append(sorted, c.lats[:n]...)
-	}
-	c.latMu.Unlock()
-	if sorted == nil {
-		return c.cfg.HedgeColdDelay
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(float64(n-1) * c.cfg.HedgePercentile)
-	d := time.Duration(float64(sorted[idx]) * c.cfg.HedgeFactor)
-	if d < c.cfg.HedgeMinDelay {
-		d = c.cfg.HedgeMinDelay
-	}
-	if d > c.cfg.HedgeMaxDelay {
-		d = c.cfg.HedgeMaxDelay
-	}
-	return d
-}
-
-func (c *Coordinator) recordLatency(d time.Duration) {
-	c.latMu.Lock()
-	c.lats[c.latPos] = d
-	c.latPos = (c.latPos + 1) % latWindow
-	if c.latLen < latWindow {
-		c.latLen++
-	}
-	c.latMu.Unlock()
-}
-
-// dispatchLoop is one worker slot: pop the member's own queue, steal from
-// the longest other queue when idle, run the item, repeat. Slots of a
-// non-Alive member park until the prober restores it.
+// dispatchLoop is one worker slot: take the head of the member's queue, run
+// it, repeat.
 func (c *Coordinator) dispatchLoop(m *member) {
 	defer c.wg.Done()
 	for {
-		it, ok := c.take(m)
+		t, ok := c.take(m)
 		if !ok {
 			return
 		}
-		c.runItem(m, it)
+		c.runItem(m, t)
 	}
 }
 
-// take blocks until the member may run something (own queue first, then the
-// longest other queue) or the coordinator closes.
-func (c *Coordinator) take(m *member) (queueItem, bool) {
+// take blocks until the member is Alive and its queue holds an unfinished
+// task, or the coordinator closes. Tasks whose client gave up are dropped.
+func (c *Coordinator) take(m *member) (*task, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		if c.closed {
-			return queueItem{}, false
-		}
-		if m.det.State() == StateAlive {
-			if it, ok := c.popLocked(m.id, m.id); ok {
-				return it, true
+	for !c.closed {
+		for m.det.State() == StateAlive && len(c.queues[m.id]) > 0 {
+			q := c.queues[m.id]
+			t := q[0]
+			q[0] = nil
+			if len(q) == 1 {
+				delete(c.queues, m.id)
+			} else {
+				c.queues[m.id] = q[1:]
 			}
-			// Steal from the longest other queue — but only from a victim
-			// that cannot drain it promptly itself (every slot busy, or not
-			// Alive). An idle home worker always gets its own queue, so
-			// cache affinity survives light load; stealing kicks in exactly
-			// when it buys throughput. Tail-steal so the victim's head (its
-			// oldest, most cache-affine work) stays put.
-			victim, best := "", 0
-			for id, q := range c.queues {
-				if id == m.id || len(q) == 0 {
-					continue
-				}
-				if vm := c.members[id]; vm != nil && vm.det.State() == StateAlive && len(vm.inflight) < vm.slots {
-					continue
-				}
-				if len(q) > best {
-					victim, best = id, len(q)
-				}
-			}
-			if victim != "" {
-				if it, ok := c.popLocked(victim, m.id); ok {
-					c.m.steals.Add(1)
-					return it, true
-				}
+			if !t.isDone() {
+				return t, true
 			}
 		}
 		c.cond.Wait()
 	}
+	return nil, false
 }
 
-// popLocked removes the first item of queue qid eligible to run on worker
-// runner (not pair-quarantined, not already finished). Hedge items only pop
-// for workers the task has not landed on. Own-queue pops take the head;
-// steals take the tail.
-func (c *Coordinator) popLocked(qid, runner string) (queueItem, bool) {
-	q := c.queues[qid]
-	idxs := make([]int, len(q))
-	for i := range q {
-		idxs[i] = i
-	}
-	if qid != runner {
-		for i, j := 0, len(idxs)-1; i < j; i, j = i+1, j-1 {
-			idxs[i], idxs[j] = idxs[j], idxs[i]
-		}
-	}
-	for _, i := range idxs {
-		it := q[i]
-		if it.t.isDone() {
-			continue
-		}
-		if _, bad := c.quarantined[pairKey(runner, it.t.key)]; bad {
-			continue
-		}
-		if qid != runner {
-			if owner, ok := c.seen[it.t.key]; ok && owner == qid {
-				// The victim's run cache holds this key: the item is a
-				// near-free hit where it sits. Stealing it trades a cache hit
-				// for a full re-simulation — never worth a thief's idleness.
-				continue
-			}
-			if vm := c.members[qid]; vm != nil && memberRunningKey(vm, it.t.key) {
-				// Same reasoning for a first execution still in flight on the
-				// victim: the item will singleflight-join it the moment a
-				// slot frees.
-				continue
-			}
-			it.t.mu.Lock()
-			_, dup := it.t.tried[runner]
-			if !dup {
-				it.t.tried[runner] = struct{}{}
-			}
-			it.t.mu.Unlock()
-			if dup {
-				// Stealing a copy of a task this worker already ran (its own
-				// earlier dispatch or hedge) would serialise the hedge.
-				continue
-			}
-		}
-		c.queues[qid] = append(q[:i:i], q[i+1:]...)
-		if len(c.queues[qid]) == 0 {
-			delete(c.queues, qid)
-		}
-		return it, true
-	}
-	// Drop any finished items we skipped over.
-	kept := q[:0]
-	for _, it := range q {
-		if !it.t.isDone() {
-			kept = append(kept, it)
-		}
-	}
-	if len(kept) == 0 {
-		delete(c.queues, qid)
-	} else {
-		c.queues[qid] = kept
-	}
-	return queueItem{}, false
-}
-
-// runItem dispatches one placement of a task to a worker and classifies the
-// outcome: success or job-level failure finishes the task; a panic answer
-// quarantines the (worker, key) pair and reroutes once; transport failures
-// back off with jitter and reroute up to MaxDispatchRetries before the task
-// degrades to local execution.
-func (c *Coordinator) runItem(m *member, it queueItem) {
-	t := it.t
-	if t.isDone() {
-		return
-	}
+// runItem dispatches a task to a worker and classifies the outcome: success
+// or job-level failure finishes the task; a panic answer quarantines the
+// (worker, key) pair and reroutes once; transport failures back off with
+// jitter and reroute up to maxDispatchRetries before the task degrades to
+// local execution.
+func (c *Coordinator) runItem(m *member, t *task) {
 	dctx, cancel := context.WithCancel(t.ctx)
-	t.addCancel(cancel)
 	c.mu.Lock()
 	m.inflight[t] = cancel
-	// This member may have just become saturated: wake parked dispatchers so
-	// thieves re-evaluate its queue.
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.m.dispatches.Add(1)
-	if !it.hedge && !c.cfg.HedgeDisabled {
-		// The hedge clock starts when the primary dispatch starts, not when
-		// the job was submitted: a job still sitting in a queue is not a
-		// straggler, and hedging it would only duplicate work.
-		c.armHedge(t)
-	}
-	start := time.Now()
 	rr, derr := c.postJob(dctx, m, t)
 	// Capture before cancel(): a dispatch context that was already dead
 	// while the job's own context lives means the death path cancelled this
@@ -657,27 +370,11 @@ func (c *Coordinator) runItem(m *member, it queueItem) {
 	cancelledByDeath := dctx.Err() != nil && t.ctx.Err() == nil
 	c.mu.Lock()
 	delete(m.inflight, t)
-	if derr == nil {
-		// This worker's run cache now holds the key; future placements of
-		// the same fingerprint come here. Reset the table if it ever grows
-		// silly — it is a placement hint, not state.
-		if len(c.seen) > 1<<16 {
-			c.seen = make(map[string]string)
-		}
-		c.seen[t.key] = m.id
-	}
 	c.mu.Unlock()
 	cancel()
 
 	if derr == nil {
-		c.recordLatency(time.Since(start))
-		if t.finish(rr, nil) {
-			if it.hedge {
-				c.m.hedgesWon.Add(1)
-			} else if t.wasHedged() {
-				c.m.hedgesWasted.Add(1)
-			}
-		}
+		t.finish(rr, nil)
 		return
 	}
 	if t.isDone() {
@@ -696,7 +393,7 @@ func (c *Coordinator) runItem(m *member, it queueItem) {
 	if errors.As(derr, &je) {
 		if je.panicky() {
 			c.quarantinePair(m.id, t.key)
-			if c.takePanicHop(t) && c.enqueue(t, false, m.id) {
+			if c.takePanicHop(t) && c.enqueue(t, m.id) {
 				c.m.reroutes.Add(1)
 				return
 			}
@@ -716,14 +413,14 @@ func (c *Coordinator) runItem(m *member, it queueItem) {
 	t.attempts++
 	attempt := t.attempts
 	t.mu.Unlock()
-	if attempt > c.cfg.MaxDispatchRetries {
+	if attempt > maxDispatchRetries {
 		t.finish(nil, fmt.Errorf("%w: %v", serve.ErrRemoteUnavailable, derr))
 		return
 	}
 	c.m.retries.Add(1)
-	delay := c.cfg.RetryBaseDelay << (attempt - 1)
-	if delay > c.cfg.RetryMaxDelay {
-		delay = c.cfg.RetryMaxDelay
+	delay := retryBaseDelay << (attempt - 1)
+	if delay > retryMaxDelay {
+		delay = retryMaxDelay
 	}
 	delay = time.Duration(float64(delay) * (0.5 + rand.Float64()))
 	time.AfterFunc(delay, func() {
@@ -731,21 +428,10 @@ func (c *Coordinator) runItem(m *member, it queueItem) {
 			return
 		}
 		c.m.reroutes.Add(1)
-		if !c.enqueue(t, false, m.id) {
+		if !c.enqueue(t, m.id) {
 			t.finish(nil, fmt.Errorf("%w: %v", serve.ErrRemoteUnavailable, derr))
 		}
 	})
-}
-
-// memberRunningKey reports whether the member has a dispatch of the given
-// fingerprint in flight. Caller holds c.mu.
-func memberRunningKey(m *member, key string) bool {
-	for t := range m.inflight {
-		if t.key == key {
-			return true
-		}
-	}
-	return false
 }
 
 // takePanicHop consumes the task's single panic-reroute credit.
@@ -759,6 +445,9 @@ func (c *Coordinator) takePanicHop(t *task) bool {
 	return true
 }
 
+// quarantinePair blocks the (worker, key) pair for good and re-homes the
+// worker's queued tasks of that key. They never ran there, so the move costs
+// them no requeue budget.
 func (c *Coordinator) quarantinePair(workerID, key string) {
 	c.mu.Lock()
 	k := pairKey(workerID, key)
@@ -766,8 +455,24 @@ func (c *Coordinator) quarantinePair(workerID, key string) {
 		c.quarantined[k] = struct{}{}
 		c.m.pairsBlocked.Add(1)
 	}
+	var moved, kept []*task
+	for _, t := range c.queues[workerID] {
+		if t.key == key {
+			moved = append(moved, t)
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	if len(kept) == 0 {
+		delete(c.queues, workerID)
+	} else {
+		c.queues[workerID] = kept
+	}
 	c.mu.Unlock()
 	c.cfg.Logf("fabric: quarantined pair worker=%s key=%s after panic answer", workerID, key)
+	for _, t := range moved {
+		c.rehome(t, workerID)
+	}
 }
 
 // workerJobError is a worker's terminal non-2xx job answer: the job ran (or
@@ -801,7 +506,7 @@ func transientHTTP(code int) bool {
 // maps the worker's terminal view. nil error means the task is terminal
 // (success or relayed failure is decided by the caller from RemoteResult).
 func (c *Coordinator) postJob(ctx context.Context, m *member, t *task) (*serve.RemoteResult, error) {
-	rctx, cancel := context.WithTimeout(ctx, t.timeout+c.cfg.RequestGrace)
+	rctx, cancel := context.WithTimeout(ctx, t.timeout+requestGrace)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, m.url+"/v1/jobs", bytes.NewReader(t.body))
 	if err != nil {
@@ -918,62 +623,48 @@ func (c *Coordinator) probe(m *member) {
 }
 
 // onStateChange applies a detector transition to routing state: Alive
-// restores the ring arc; Probation removes it and re-homes queued work; Dead
-// additionally cancels in-flight dispatches and spends each task's
-// exactly-once requeue budget.
+// restores the ring arc; leaving Alive removes it and re-homes the queue;
+// Dead additionally cancels in-flight dispatches and spends each task's
+// exactly-once requeue budget. Probation lets in-flight work finish.
 func (c *Coordinator) onStateChange(m *member, st WorkerState) {
 	c.cfg.Logf("fabric: worker %s -> %s (phi=%.1f)", m.id, st, m.det.Phi(time.Now()))
 	c.mu.Lock()
-	switch st {
-	case StateAlive:
+	if st == StateAlive {
 		c.ring.Add(m.id)
 		c.cond.Broadcast()
 		c.mu.Unlock()
-	case StateSuspect:
-		// Stays on the ring; take() already refuses new work for non-Alive
-		// members, so the arc keeps attracting placements that other workers
-		// will steal — affinity degrades gracefully instead of flapping.
-		c.mu.Unlock()
-	case StateProbation:
-		c.ring.Remove(m.id)
-		items := c.queues[m.id]
-		delete(c.queues, m.id)
-		c.mu.Unlock()
-		for _, it := range items {
-			c.rehome(it, m.id)
-		}
-	case StateDead:
+		return
+	}
+	c.ring.Remove(m.id)
+	queued := c.queues[m.id]
+	delete(c.queues, m.id)
+	var running []*task
+	if st == StateDead {
 		c.m.workersDead.Add(1)
-		c.ring.Remove(m.id)
-		items := c.queues[m.id]
-		delete(c.queues, m.id)
-		running := make([]*task, 0, len(m.inflight))
 		for t, cancel := range m.inflight {
 			cancel()
 			running = append(running, t)
 		}
 		m.inflight = make(map[*task]context.CancelFunc)
-		c.mu.Unlock()
-		for _, it := range items {
-			c.rehome(it, m.id)
-		}
-		for _, t := range running {
-			c.requeueOnce(t, m.id)
-		}
-	default:
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	for _, t := range queued {
+		c.rehome(t, m.id)
+	}
+	for _, t := range running {
+		c.requeueOnce(t, m.id)
 	}
 }
 
-// rehome re-places a queued (never dispatched to the lost worker) item; it
-// costs no requeue budget because the work never started there.
-func (c *Coordinator) rehome(it queueItem, exclude string) {
-	if it.t.isDone() {
+// rehome re-places a queued task that never started on the worker it leaves;
+// it costs no requeue budget.
+func (c *Coordinator) rehome(t *task, exclude string) {
+	if t.isDone() {
 		return
 	}
 	c.m.reroutes.Add(1)
-	if !c.enqueue(it.t, it.hedge, exclude) && !it.hedge {
-		it.t.finish(nil, serve.ErrRemoteUnavailable)
+	if !c.enqueue(t, exclude) {
+		t.finish(nil, serve.ErrRemoteUnavailable)
 	}
 }
 
@@ -994,7 +685,7 @@ func (c *Coordinator) requeueOnce(t *task, exclude string) {
 		return
 	}
 	c.m.requeues.Add(1)
-	if !c.enqueue(t, false, exclude) {
+	if !c.enqueue(t, exclude) {
 		t.finish(nil, serve.ErrRemoteUnavailable)
 	}
 }

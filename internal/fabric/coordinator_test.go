@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,8 +28,7 @@ type fakeWorker struct {
 	readyMode atomic.Int32
 	jobs      atomic.Pointer[http.HandlerFunc]
 	// gotJobs counts /v1/jobs requests, so tests can tell which worker a
-	// dispatch actually landed on (work-stealing makes the home queue a
-	// preference, not a guarantee).
+	// dispatch actually landed on after retries, re-homes and requeues.
 	gotJobs atomic.Int32
 }
 
@@ -52,8 +52,10 @@ func newFakeWorker(t *testing.T, id string, jobs http.HandlerFunc) *fakeWorker {
 		f.gotJobs.Add(1)
 		// Consume the body first: net/http only watches for client aborts
 		// (r.Context cancellation) once the request body has been read, and
-		// several tests park handlers on that context.
-		io.Copy(io.Discard, r.Body)
+		// several tests park handlers on that context. Handlers that route on
+		// the spec read the buffered copy (see jobName).
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		(*f.jobs.Load())(w, r)
 	})
 	f.ts = httptest.NewServer(mux)
@@ -61,20 +63,23 @@ func newFakeWorker(t *testing.T, id string, jobs http.HandlerFunc) *fakeWorker {
 	return f
 }
 
+// jobName returns the forwarded spec's name.
+func jobName(r *http.Request) string {
+	var spec serve.JobSpec
+	json.NewDecoder(r.Body).Decode(&spec)
+	return spec.Name
+}
+
 func okView(worker string) string {
 	return fmt.Sprintf(`{"id":"j","status":"done","result":{"program":"fake","cycles":42,"arch_insts":7,"worker":%q}}`, worker)
 }
 
-// fastConfig keeps probe and retry clocks test-sized.
+// fastConfig keeps the probe clock test-sized.
 func fastConfig() Config {
 	return Config{
-		ProbeInterval:  10 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		RetryBaseDelay: 5 * time.Millisecond,
-		Detector: DetectorConfig{
-			ProbeHardFailures: 2,
-			MinInterval:       50 * time.Millisecond,
-		},
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		Detector:      DetectorConfig{MinInterval: 50 * time.Millisecond},
 	}
 }
 
@@ -159,71 +164,178 @@ func TestRetriesExhaustToUnavailable(t *testing.T) {
 	f := newFakeWorker(t, "w1", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	})
-	cfg := fastConfig()
-	cfg.MaxDispatchRetries = 2
-	c := newTestCoordinator(t, cfg, f)
+	c := newTestCoordinator(t, fastConfig(), f)
 	_, err := c.ExecuteRemote(context.Background(), "fp-1", serve.JobSpec{TimeoutMS: 5000})
 	if !errors.Is(err, serve.ErrRemoteUnavailable) {
 		t.Fatalf("err = %v, want ErrRemoteUnavailable after retry budget", err)
 	}
-	if st := c.Stats(); st.Retries != 2 {
-		t.Errorf("retries = %d, want 2", st.Retries)
+	if st := c.Stats(); st.Retries != maxDispatchRetries {
+		t.Errorf("retries = %d, want %d", st.Retries, maxDispatchRetries)
 	}
 }
 
-// TestHedgeWinsOverStraggler pins the primary on a deliberately slow worker
-// (by picking a fingerprint homed there) and checks that the hedge fires,
-// the fast worker answers, and the straggler's dispatch is cancelled
-// through its context — first result wins, loser cancelled.
-func TestHedgeWinsOverStraggler(t *testing.T) {
-	var slowCancelled atomic.Bool
-	slow := newFakeWorker(t, "slow", func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-			slowCancelled.Store(true)
+// keysHomedOn returns n fingerprints whose ring home is the given worker on
+// a ring of the given workers.
+func keysHomedOn(t *testing.T, n int, home string, workers ...string) []string {
+	t.Helper()
+	probe := NewRing()
+	for _, id := range workers {
+		probe.Add(id)
+	}
+	var keys []string
+	for i := 0; i < 10_000 && len(keys) < n; i++ {
+		if k := fmt.Sprintf("fp-%d", i); probe.Lookup(k) == home {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < n {
+		t.Fatalf("found %d of %d keys homed on %s", len(keys), n, home)
+	}
+	return keys
+}
+
+type remoteAnswer struct {
+	rr  *serve.RemoteResult
+	err error
+}
+
+// submit runs ExecuteRemote in the background and delivers its answer on the
+// returned channel.
+func submit(c *Coordinator, key, name string) <-chan remoteAnswer {
+	out := make(chan remoteAnswer, 1)
+	go func() {
+		rr, err := c.ExecuteRemote(context.Background(), key, serve.JobSpec{Name: name, TimeoutMS: 30_000})
+		out <- remoteAnswer{rr, err}
+	}()
+	return out
+}
+
+func await(t *testing.T, what string, ch <-chan remoteAnswer) remoteAnswer {
+	t.Helper()
+	select {
+	case a := <-ch:
+		return a
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		return remoteAnswer{}
+	}
+}
+
+func queuedOn(c *Coordinator, id string) int {
+	for _, m := range c.Members() {
+		if m.ID == id {
+			return m.Queued
+		}
+	}
+	return -1
+}
+
+// saturatedHome builds w1 and w2 (two slots each), fills both of w1's slots
+// with "hang" jobs that block until release is closed, and returns the keys
+// homed on w1 left over for the test. w1 answers every other job at once;
+// other, when non-nil, overrides that answer.
+func saturatedHome(t *testing.T, release <-chan struct{}, other http.HandlerFunc) (c *Coordinator, w1, w2 *fakeWorker, hung []<-chan remoteAnswer, keys []string) {
+	t.Helper()
+	w1 = newFakeWorker(t, "w1", func(w http.ResponseWriter, r *http.Request) {
+		if jobName(r) != "hang" {
+			if other != nil {
+				other(w, r)
+			} else {
+				fmt.Fprint(w, okView("w1"))
+			}
 			return
-		case <-time.After(3 * time.Second):
 		}
-		fmt.Fprint(w, okView("slow"))
+		select {
+		case <-release:
+			fmt.Fprint(w, okView("w1"))
+		case <-r.Context().Done():
+		}
 	})
-	fast := newFakeWorker(t, "fast", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, okView("fast"))
+	w2 = newFakeWorker(t, "w2", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, okView("w2"))
 	})
-	cfg := fastConfig()
-	cfg.HedgeColdDelay = 75 * time.Millisecond
-	c := newTestCoordinator(t, cfg, slow, fast)
+	c = newTestCoordinator(t, fastConfig(), w1, w2)
+	keys = keysHomedOn(t, 3, "w1", "w1", "w2")
+	for _, k := range keys[:2] {
+		hung = append(hung, submit(c, k, "hang"))
+	}
+	waitFor(t, "w1 saturated", 2*time.Second, func() bool { return w1.gotJobs.Load() == 2 })
+	return c, w1, w2, hung, keys[2:]
+}
 
-	// Find a fingerprint whose home is the slow worker.
-	probe := NewRing(0)
-	probe.Add("slow")
-	probe.Add("fast")
-	fp := ""
-	for i := 0; i < 1000; i++ {
-		k := fmt.Sprintf("fp-%d", i)
-		if probe.Lookup(k) == "slow" {
-			fp = k
-			break
+// TestSaturatedHomeKeepsItsQueue: a job homed on a worker whose slots are all
+// busy waits in that worker's queue instead of running on an idle worker,
+// and runs at home once a slot frees — the home's run cache is where the
+// result of a repeat will be.
+func TestSaturatedHomeKeepsItsQueue(t *testing.T) {
+	release := make(chan struct{})
+	c, _, w2, hung, keys := saturatedHome(t, release, nil)
+	queued := submit(c, keys[0], "queued")
+	waitFor(t, "third job queued on w1", 2*time.Second, func() bool { return queuedOn(c, "w1") == 1 })
+	time.Sleep(200 * time.Millisecond)
+	if n := w2.gotJobs.Load(); n != 0 {
+		t.Fatalf("w2 received %d jobs while w1 was saturated, want 0", n)
+	}
+	close(release)
+	if a := await(t, "queued job", queued); a.err != nil || a.rr.Worker != "w1" {
+		t.Fatalf("queued job answered %+v, %v; want w1", a.rr, a.err)
+	}
+	for _, ch := range hung {
+		if a := await(t, "hung job", ch); a.err != nil {
+			t.Errorf("hung job: %v", a.err)
 		}
 	}
-	if fp == "" {
-		t.Fatal("no key homed on slow worker in 1000 tries")
+	if n := w2.gotJobs.Load(); n != 0 {
+		t.Errorf("w2 received %d jobs, want 0", n)
 	}
+}
 
-	start := time.Now()
-	rr, err := c.ExecuteRemote(context.Background(), fp, serve.JobSpec{TimeoutMS: 10_000})
-	if err != nil {
-		t.Fatal(err)
+// TestDrainingWorkerQueueIsRehomed: when a saturated worker starts draining
+// (readyz 503) it leaves Alive, its queued job moves to the next ring node,
+// and its in-flight jobs still finish where they run.
+func TestDrainingWorkerQueueIsRehomed(t *testing.T) {
+	release := make(chan struct{})
+	c, w1, _, hung, keys := saturatedHome(t, release, nil)
+	queued := submit(c, keys[0], "queued")
+	waitFor(t, "third job queued on w1", 2*time.Second, func() bool { return queuedOn(c, "w1") == 1 })
+	w1.readyMode.Store(2)
+	if a := await(t, "queued job", queued); a.err != nil || a.rr.Worker != "w2" {
+		t.Fatalf("queued job answered %+v, %v; want w2", a.rr, a.err)
 	}
-	if rr.Worker != "fast" {
-		t.Fatalf("winner = %q, want the hedged fast worker", rr.Worker)
+	close(release)
+	for _, ch := range hung {
+		if a := await(t, "in-flight job", ch); a.err != nil || a.rr.Worker != "w1" {
+			t.Errorf("in-flight job answered %+v, %v; want w1", a.rr, a.err)
+		}
 	}
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("hedged job took %s, straggler was not cut off", d)
+	if n := w1.gotJobs.Load(); n != 2 {
+		t.Errorf("w1 received %d jobs, want only the 2 in flight", n)
 	}
-	if st := c.Stats(); st.Hedges != 1 || st.HedgesWon != 1 {
-		t.Errorf("hedge stats = %+v, want 1 launched 1 won", st)
+}
+
+// TestNoDispatchToQuarantinedPair: two tasks of one key wait in w1's queue
+// behind hanging jobs. When w1 panics on the first, the pair is quarantined
+// and the second moves to w2 without ever reaching w1.
+func TestNoDispatchToQuarantinedPair(t *testing.T) {
+	release := make(chan struct{}, 1)
+	c, w1, _, _, keys := saturatedHome(t, release, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprint(w, `{"id":"j","status":"failed","error":"sim: worker panic: boom"}`)
+	})
+	boom := []<-chan remoteAnswer{submit(c, keys[0], "boom"), submit(c, keys[0], "boom")}
+	waitFor(t, "both tasks queued on w1", 2*time.Second, func() bool { return queuedOn(c, "w1") == 2 })
+	release <- struct{}{} // free one of w1's slots
+	for _, ch := range boom {
+		if a := await(t, "boom job", ch); a.err != nil || a.rr.Worker != "w2" || a.rr.HTTPStatus != http.StatusOK {
+			t.Errorf("boom job answered %+v, %v; want success on w2", a.rr, a.err)
+		}
 	}
-	waitFor(t, "straggler cancellation", 2*time.Second, slowCancelled.Load)
+	if n := w1.gotJobs.Load(); n != 3 {
+		t.Errorf("w1 received %d jobs, want 3 (two hanging, one panic)", n)
+	}
+	if st := c.Stats(); st.PairsBlocked != 1 {
+		t.Errorf("pairs blocked = %d, want 1", st.PairsBlocked)
+	}
 }
 
 // TestPanicAnswerQuarantinesPair: a worker that answers a job with a panic
@@ -269,9 +381,7 @@ func TestWorkerDeathRequeuesExactlyOnce(t *testing.T) {
 	}
 	w1 := newFakeWorker(t, "w1", hang)
 	w2 := newFakeWorker(t, "w2", hang)
-	cfg := fastConfig()
-	cfg.HedgeDisabled = true
-	c := newTestCoordinator(t, cfg, w1, w2)
+	c := newTestCoordinator(t, fastConfig(), w1, w2)
 
 	errc := make(chan error, 1)
 	go func() {

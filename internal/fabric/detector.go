@@ -8,35 +8,32 @@ import (
 
 // WorkerState is a worker's position in the failure-detection state machine.
 //
-// The escalation path is Alive → Suspect → Probation → Dead, driven by a
-// phi-accrual-style suspicion value: instead of a binary timeout, the
-// detector tracks the inter-arrival times of successful readiness probes and
-// computes phi = (time since the last success) / (mean successful interval).
+// The escalation path is Alive → Probation → Dead, driven by a phi-accrual-
+// style suspicion value: instead of a binary timeout, the detector tracks
+// the inter-arrival times of successful readiness probes and computes
+// phi = (time since the last success) / (mean successful interval).
 // A worker that answers every probe holds phi near 1; a worker that stops
 // answering accrues suspicion continuously, and each threshold crossing
 // escalates the state — so a slow worker is treated gently (routed around)
 // long before it is declared dead (requeued away from).
 //
-//	Alive      full member: routed to, steals work, on the ring.
-//	Suspect    phi ≥ SuspectPhi: no new work (no dispatch, no stealing),
-//	           stays on the ring, in-flight jobs continue.
-//	Probation  phi ≥ ProbationPhi: off the ring, queued jobs re-homed,
+//	Alive      full member: on the ring, routed to.
+//	Probation  phi ≥ probationPhi: off the ring, queued jobs re-homed,
 //	           in-flight jobs still allowed to finish. Also the state a
 //	           recovering or draining (readyz 503) worker waits in.
-//	Dead       phi ≥ DeadPhi or ProbeHardFailures consecutive hard probe
+//	Dead       phi ≥ deadPhi or probeHardFailures consecutive hard probe
 //	           failures: off the ring, in-flight jobs cancelled and requeued
 //	           exactly once, dispatch slots idled.
 //
-// Recovery: a successful probe from Suspect or Probation restores Alive
-// immediately (the worker proved itself before being declared dead). A Dead
-// worker must first answer RejoinProbes consecutive probes — it re-enters
-// through Probation and is only then restored to the ring, so a flapping
-// worker cannot oscillate jobs on and off its arc.
+// Recovery: a successful probe from Probation restores Alive immediately (the
+// worker proved itself before being declared dead). A Dead worker must first
+// answer rejoinProbes consecutive probes — it re-enters through Probation and
+// is only then restored to the ring, so a flapping worker cannot oscillate
+// jobs on and off its arc.
 type WorkerState int32
 
 const (
 	StateAlive WorkerState = iota
-	StateSuspect
 	StateProbation
 	StateDead
 )
@@ -45,8 +42,6 @@ func (s WorkerState) String() string {
 	switch s {
 	case StateAlive:
 		return "alive"
-	case StateSuspect:
-		return "suspect"
 	case StateProbation:
 		return "probation"
 	case StateDead:
@@ -56,46 +51,26 @@ func (s WorkerState) String() string {
 	}
 }
 
+const (
+	// probationPhi and deadPhi are the escalation thresholds on the
+	// suspicion value.
+	probationPhi = 3
+	deadPhi      = 8
+	// probeHardFailures short-circuits to Dead after this many consecutive
+	// hard probe failures (connection refused: the process is gone, no need
+	// to accrue).
+	probeHardFailures = 4
+	// rejoinProbes is how many consecutive successful probes a Dead worker
+	// needs before it re-enters service through Probation.
+	rejoinProbes = 3
+)
+
 // DetectorConfig tunes one worker's failure detector. The zero value takes
-// every documented default.
+// the documented default.
 type DetectorConfig struct {
-	// SuspectPhi, ProbationPhi, DeadPhi are the escalation thresholds on the
-	// suspicion value. Defaults: 3, 5, 8.
-	SuspectPhi   float64
-	ProbationPhi float64
-	DeadPhi      float64
-	// ProbeHardFailures short-circuits to Dead after this many consecutive
-	// hard probe failures (connection refused — the process is gone, no need
-	// to accrue). <= 0 means 4.
-	ProbeHardFailures int
-	// RejoinProbes is how many consecutive successful probes a Dead worker
-	// needs before it re-enters service through Probation. <= 0 means 3.
-	RejoinProbes int
 	// MinInterval floors the mean-interval estimate so a burst of fast
 	// probes cannot make phi explode on the first hiccup. <= 0 means 100ms.
 	MinInterval time.Duration
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.SuspectPhi <= 0 {
-		c.SuspectPhi = 3
-	}
-	if c.ProbationPhi <= c.SuspectPhi {
-		c.ProbationPhi = c.SuspectPhi + 2
-	}
-	if c.DeadPhi <= c.ProbationPhi {
-		c.DeadPhi = c.ProbationPhi + 3
-	}
-	if c.ProbeHardFailures <= 0 {
-		c.ProbeHardFailures = 4
-	}
-	if c.RejoinProbes <= 0 {
-		c.RejoinProbes = 3
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = 100 * time.Millisecond
-	}
-	return c
 }
 
 // detectorWindow is how many successful inter-arrival samples the mean is
@@ -106,7 +81,7 @@ const detectorWindow = 16
 // an explicit clock so the state machine is testable without sleeping; the
 // prober passes time.Now(). Safe for concurrent use.
 type Detector struct {
-	cfg DetectorConfig
+	minInterval time.Duration
 
 	mu        sync.Mutex
 	state     WorkerState
@@ -121,7 +96,11 @@ type Detector struct {
 // NewDetector returns a detector in the Alive state whose clock starts at
 // now.
 func NewDetector(cfg DetectorConfig, now time.Time) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), state: StateAlive, lastOK: now}
+	d := &Detector{minInterval: cfg.MinInterval, state: StateAlive, lastOK: now}
+	if d.minInterval <= 0 {
+		d.minInterval = 100 * time.Millisecond
+	}
+	return d
 }
 
 // State returns the current state.
@@ -150,7 +129,7 @@ func (d *Detector) phiLocked(now time.Time) float64 {
 }
 
 func (d *Detector) meanIntervalLocked() float64 {
-	floor := d.cfg.MinInterval.Seconds()
+	floor := d.minInterval.Seconds()
 	if d.nsamples == 0 {
 		return floor
 	}
@@ -166,8 +145,8 @@ func (d *Detector) meanIntervalLocked() float64 {
 }
 
 // ObserveSuccess records a successful readiness probe and returns the (new
-// state, whether it changed). Suspect and Probation recover to Alive at
-// once; Dead counts consecutive successes and re-enters through Probation.
+// state, whether it changed). Probation recovers to Alive at once; Dead
+// counts consecutive successes and re-enters through Probation.
 func (d *Detector) ObserveSuccess(now time.Time) (WorkerState, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -182,12 +161,12 @@ func (d *Detector) ObserveSuccess(now time.Time) (WorkerState, bool) {
 	d.hardFails = 0
 	prev := d.state
 	switch d.state {
-	case StateSuspect, StateProbation:
+	case StateProbation:
 		d.state = StateAlive
 		d.consecOK = 0
 	case StateDead:
 		d.consecOK++
-		if d.consecOK >= d.cfg.RejoinProbes {
+		if d.consecOK >= rejoinProbes {
 			d.state = StateProbation
 			d.consecOK = 0
 		}
@@ -207,7 +186,7 @@ func (d *Detector) ObserveNotReady(now time.Time) (WorkerState, bool) {
 	d.hardFails = 0
 	d.consecOK = 0
 	prev := d.state
-	if d.state == StateAlive || d.state == StateSuspect {
+	if d.state == StateAlive {
 		d.state = StateProbation
 	}
 	return d.state, d.state != prev
@@ -228,14 +207,12 @@ func (d *Detector) ObserveFailure(now time.Time, hard bool) (WorkerState, bool) 
 	phi := d.phiLocked(now)
 	next := prev
 	switch {
-	case d.hardFails >= d.cfg.ProbeHardFailures || phi >= d.cfg.DeadPhi:
+	case d.hardFails >= probeHardFailures || phi >= deadPhi:
 		next = StateDead
-	case phi >= d.cfg.ProbationPhi:
+	case phi >= probationPhi:
 		next = StateProbation
-	case phi >= d.cfg.SuspectPhi:
-		next = StateSuspect
 	}
-	// Escalate only: a Dead worker cannot fall back to Suspect because phi
+	// Escalate only: a Dead worker cannot fall back to Probation because phi
 	// shrank (it can only rejoin through ObserveSuccess).
 	if next > d.state {
 		d.state = next

@@ -31,13 +31,16 @@ func TestDetectorEscalatesThroughStates(t *testing.T) {
 		d.ObserveSuccess(tick(&now, 100*time.Millisecond))
 	}
 	// Silence: soft failures accrue phi (mean interval 100ms, thresholds
-	// 3/5/8 → suspect at 300ms, probation at 500ms, dead at 800ms).
-	st, changed := d.ObserveFailure(tick(&now, 350*time.Millisecond), false)
-	if st != StateSuspect || !changed {
-		t.Fatalf("after 350ms silence: %v changed=%v, want suspect", st, changed)
+	// 3/8 → probation at 300ms, dead at 800ms).
+	st, changed := d.ObserveFailure(tick(&now, 250*time.Millisecond), false)
+	if st != StateAlive || changed {
+		t.Fatalf("after 250ms silence: %v changed=%v, want alive", st, changed)
 	}
-	st, changed = d.ObserveFailure(tick(&now, 200*time.Millisecond), false)
+	st, changed = d.ObserveFailure(tick(&now, 100*time.Millisecond), false)
 	if st != StateProbation || !changed {
+		t.Fatalf("after 350ms silence: %v changed=%v, want probation", st, changed)
+	}
+	if st, changed = d.ObserveFailure(tick(&now, 200*time.Millisecond), false); st != StateProbation || changed {
 		t.Fatalf("after 550ms silence: %v changed=%v, want probation", st, changed)
 	}
 	st, changed = d.ObserveFailure(tick(&now, 300*time.Millisecond), false)
@@ -52,46 +55,52 @@ func TestDetectorEscalatesThroughStates(t *testing.T) {
 
 func TestDetectorHardFailuresShortCircuit(t *testing.T) {
 	now := time.Unix(0, 0)
-	d := NewDetector(DetectorConfig{ProbeHardFailures: 3, MinInterval: time.Hour}, now)
+	d := NewDetector(DetectorConfig{MinInterval: time.Hour}, now)
 	// MinInterval of an hour keeps phi ~0, so only the hard-failure counter
 	// can kill: connection-refused is conclusive without accrual.
 	var st WorkerState
-	for i := 0; i < 3; i++ {
+	for i := 0; i < probeHardFailures; i++ {
+		if st != StateAlive {
+			t.Fatalf("state after %d hard failures = %v, want alive", i, st)
+		}
 		st, _ = d.ObserveFailure(tick(&now, time.Millisecond), true)
 	}
 	if st != StateDead {
-		t.Fatalf("state after 3 hard failures = %v, want dead", st)
+		t.Fatalf("state after %d hard failures = %v, want dead", probeHardFailures, st)
 	}
 }
 
 func TestDetectorRecovery(t *testing.T) {
 	now := time.Unix(0, 0)
-	d := NewDetector(DetectorConfig{RejoinProbes: 3}, now)
+	d := NewDetector(DetectorConfig{}, now)
 	for i := 0; i < 8; i++ {
 		d.ObserveSuccess(tick(&now, 100*time.Millisecond))
 	}
 	d.ObserveFailure(tick(&now, 350*time.Millisecond), false)
-	if st := d.State(); st != StateSuspect {
-		t.Fatalf("setup: %v, want suspect", st)
+	if st := d.State(); st != StateProbation {
+		t.Fatalf("setup: %v, want probation", st)
 	}
-	// A suspect that answers recovers immediately.
+	// A worker on probation that answers recovers immediately.
 	if st, changed := d.ObserveSuccess(tick(&now, 50*time.Millisecond)); st != StateAlive || !changed {
-		t.Fatalf("suspect + success = %v changed=%v, want alive", st, changed)
+		t.Fatalf("probation + success = %v changed=%v, want alive", st, changed)
 	}
-	// Kill it, then count it back in: RejoinProbes consecutive successes
+	// Kill it, then count it back in: rejoinProbes consecutive successes
 	// reach only Probation; one more success restores Alive.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < probeHardFailures; i++ {
 		d.ObserveFailure(tick(&now, time.Second), true)
 	}
 	if st := d.State(); st != StateDead {
 		t.Fatalf("setup: %v, want dead", st)
 	}
-	var st WorkerState
-	for i := 0; i < 3; i++ {
+	st := d.State()
+	for i := 0; i < rejoinProbes; i++ {
+		if st != StateDead {
+			t.Fatalf("dead + %d successes = %v, want dead", i, st)
+		}
 		st, _ = d.ObserveSuccess(tick(&now, 100*time.Millisecond))
 	}
 	if st != StateProbation {
-		t.Fatalf("dead + 3 successes = %v, want probation", st)
+		t.Fatalf("dead + %d successes = %v, want probation", rejoinProbes, st)
 	}
 	if st, _ = d.ObserveSuccess(tick(&now, 100*time.Millisecond)); st != StateAlive {
 		t.Fatalf("probation + success = %v, want alive", st)

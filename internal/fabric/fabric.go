@@ -12,21 +12,19 @@
 // Placement is a consistent-hash ring keyed on the job's run-cache
 // fingerprint (sim.Fingerprint: program content hash x canonicalised config),
 // so identical jobs land on the worker that already has the result cached,
-// and worker death moves only the dead worker's arc. On top of the ring sits
-// a work-stealing dispatcher: every queued job prefers its home worker, and
-// an idle worker steals from the longest other queue, so a skewed sweep
-// still saturates the cluster.
+// and worker death moves only the dead worker's arc. There is one placement
+// path: a job joins the FIFO of the first worker in ring order from its home
+// that is Alive and not quarantined for the key, and only that worker's
+// dispatch slots pop it. A job is a pure function of (program, config), so a
+// second execution elsewhere would buy nothing but a lost cache hit.
 //
 // The robustness layer is the point:
 //
 //   - Per-worker readiness probes feed a phi-accrual-style failure detector
-//     (Alive -> Suspect -> Probation -> Dead; see Detector) so slow workers
-//     are routed around long before they are declared dead.
+//     (Alive -> Probation -> Dead; see Detector) so slow workers are routed
+//     around, and their queues re-homed, long before they are declared dead.
 //   - Transport-level dispatch failures retry with exponential backoff and
-//     jitter on another worker, bounded by MaxDispatchRetries.
-//   - Straggler dispatches are hedged: after a latency-percentile trigger a
-//     second copy goes to the next ring node, the first result wins, and the
-//     loser is cancelled through its request context.
+//     jitter on another worker, bounded by maxDispatchRetries.
 //   - Worker death requeues its in-flight jobs exactly once; a second death
 //     under the same job surfaces serve.ErrWorkerLost instead of retrying
 //     forever.
@@ -40,7 +38,7 @@
 //
 // A seeded chaos mode (Chaos, `lfservd -chaos-fabric`) kills, partitions,
 // and delays workers deterministically; the differential test in
-// chaos_test.go checks that sweep results under chaos are identical to a
+// cluster_test.go checks that sweep results under chaos are identical to a
 // clean single-node run — the checker-teeth test at fabric scale.
 package fabric
 

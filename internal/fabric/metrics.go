@@ -14,10 +14,6 @@ import (
 type Stats struct {
 	Jobs         uint64 `json:"jobs"`
 	Dispatches   uint64 `json:"dispatches"`
-	Steals       uint64 `json:"steals"`
-	Hedges       uint64 `json:"hedges"`
-	HedgesWon    uint64 `json:"hedges_won"`
-	HedgesWasted uint64 `json:"hedges_wasted"`
 	Retries      uint64 `json:"retries"`
 	Reroutes     uint64 `json:"reroutes"`
 	Requeues     uint64 `json:"requeues"`
@@ -33,10 +29,6 @@ func (c *Coordinator) Stats() Stats {
 	s := Stats{
 		Jobs:         c.m.jobs.Load(),
 		Dispatches:   c.m.dispatches.Load(),
-		Steals:       c.m.steals.Load(),
-		Hedges:       c.m.hedges.Load(),
-		HedgesWon:    c.m.hedgesWon.Load(),
-		HedgesWasted: c.m.hedgesWasted.Load(),
 		Retries:      c.m.retries.Load(),
 		Reroutes:     c.m.reroutes.Load(),
 		Requeues:     c.m.requeues.Load(),
@@ -64,10 +56,6 @@ func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 	}
 	gauge("fabric.Jobs", func(s Stats) float64 { return float64(s.Jobs) })
 	gauge("fabric.Dispatches", func(s Stats) float64 { return float64(s.Dispatches) })
-	gauge("fabric.Steals", func(s Stats) float64 { return float64(s.Steals) })
-	gauge("fabric.HedgesLaunched", func(s Stats) float64 { return float64(s.Hedges) })
-	gauge("fabric.HedgesWon", func(s Stats) float64 { return float64(s.HedgesWon) })
-	gauge("fabric.HedgesWasted", func(s Stats) float64 { return float64(s.HedgesWasted) })
 	gauge("fabric.Retries", func(s Stats) float64 { return float64(s.Retries) })
 	gauge("fabric.Reroutes", func(s Stats) float64 { return float64(s.Reroutes) })
 	gauge("fabric.Requeues", func(s Stats) float64 { return float64(s.Requeues) })

@@ -8,7 +8,7 @@ import (
 )
 
 // Ring is a consistent-hash ring mapping run-cache fingerprints to worker
-// IDs. Each worker contributes vnodes virtual points so load spreads evenly;
+// IDs. Each worker contributes VNodes virtual points so load spreads evenly;
 // removing a worker moves only that worker's arc to its successors, which is
 // what keeps cache affinity intact across worker deaths: every key that was
 // NOT homed on the dead worker keeps routing to the node that already holds
@@ -17,7 +17,6 @@ import (
 // Ring is safe for concurrent use. Lookups on an empty ring return nothing.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []ringPoint // sorted by hash
 	ids    map[string]struct{}
 }
@@ -27,18 +26,14 @@ type ringPoint struct {
 	id   string
 }
 
-// DefaultVNodes is the per-worker virtual-node count: enough that a 3-node
-// ring balances within a few percent, cheap enough that membership changes
-// are trivial.
-const DefaultVNodes = 64
+// VNodes is the per-worker virtual-node count: enough that a 3-node ring
+// balances within a few percent, cheap enough that membership changes are
+// trivial.
+const VNodes = 64
 
-// NewRing returns an empty ring with the given virtual-node count per worker
-// (<= 0 means DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, ids: make(map[string]struct{})}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{ids: make(map[string]struct{})}
 }
 
 func ringHash(s string) uint64 {
@@ -61,7 +56,7 @@ func (r *Ring) Add(id string) {
 		return
 	}
 	r.ids[id] = struct{}{}
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < VNodes; v++ {
 		r.points = append(r.points, ringPoint{ringHash(id + "#" + strconv.Itoa(v)), id})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
@@ -85,14 +80,6 @@ func (r *Ring) Remove(id string) {
 	r.points = kept
 }
 
-// Contains reports whether the worker is currently on the ring.
-func (r *Ring) Contains(id string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.ids[id]
-	return ok
-}
-
 // Len returns the number of workers on the ring.
 func (r *Ring) Len() int {
 	r.mu.RLock()
@@ -110,7 +97,7 @@ func (r *Ring) Lookup(key string) string {
 }
 
 // LookupN returns up to n distinct workers in ring order starting at the
-// key's home: the preference order for placement, hedging, and failover. The
+// key's home: the preference order for placement and failover. The
 // first entry is the home node; later entries are the nodes the key's arc
 // falls to as earlier ones die.
 func (r *Ring) LookupN(key string, n int) []string {
